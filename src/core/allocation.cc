@@ -406,29 +406,12 @@ LookupRoundPlan(const PlanStaircase& staircase,
                 const std::vector<RoundDegreeInfo>& info,
                 double slack_us, AllocationPlan* out)
 {
-  LookupRoundPlan(staircase, info, slack_us, out, nullptr);
-}
-
-void
-LookupRoundPlan(const PlanStaircase& staircase,
-                const std::vector<RoundDegreeInfo>& info,
-                double slack_us, AllocationPlan* out,
-                PlanReuseWindow* window)
-{
   TETRI_CHECK(staircase.built && out != nullptr);
   const auto& thresholds = staircase.thresholds;
   auto it = std::upper_bound(thresholds.begin(), thresholds.end(),
                              slack_us);
   if (it == thresholds.begin()) {
-    // Below every breakpoint: definitely late. Any slack strictly
-    // under thresholds[0] lands here, so the reuse window is
-    // (-inf, thresholds[0]).
-    if (window != nullptr) {
-      window->lo = -std::numeric_limits<double>::infinity();
-      window->hi = thresholds.empty()
-                       ? std::numeric_limits<double>::infinity()
-                       : thresholds.front();
-    }
+    // Below every breakpoint: definitely late.
     const AllocationPlan& fb = staircase.fallback;
     out->segments.assign(fb.segments.begin(), fb.segments.end());
     out->exec_time_us = fb.exec_time_us;
@@ -438,16 +421,6 @@ LookupRoundPlan(const PlanStaircase& staircase,
   }
   const std::size_t idx =
       static_cast<std::size_t>(it - thresholds.begin()) - 1;
-  if (window != nullptr) {
-    // upper_bound maps every slack in [thresholds[idx],
-    // thresholds[idx+1]) to the same winner, and the materialized plan
-    // is a pure function of the winner — so a cached copy is bitwise
-    // exact anywhere in this half-open interval.
-    window->lo = thresholds[idx];
-    window->hi = idx + 1 < thresholds.size()
-                     ? thresholds[idx + 1]
-                     : std::numeric_limits<double>::infinity();
-  }
   MaterializeRoundPlan(info, staircase.candidates[staircase.winners[idx]],
                        out);
 }

@@ -200,28 +200,6 @@ void LookupRoundPlan(const PlanStaircase& staircase,
                      double slack_us, AllocationPlan* out);
 
 /**
- * Half-open slack interval [lo, hi) on which a LookupRoundPlan answer
- * is constant: any query with a (clamped) slack inside the window
- * returns a bitwise-identical plan, which is what licenses the
- * incremental replanner to reuse a cached allocation across rounds.
- */
-struct PlanReuseWindow {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/**
- * LookupRoundPlan variant that also reports the reuse window of the
- * returned answer (the staircase interval the slack fell in, or
- * (-inf, thresholds[0]) for the definitely-late fallback).
- * @p window may be null.
- */
-void LookupRoundPlan(const PlanStaircase& staircase,
-                     const std::vector<RoundDegreeInfo>& info,
-                     double slack_us, AllocationPlan* out,
-                     PlanReuseWindow* window);
-
-/**
  * Reference solution: exact DP over (steps x degrees) minimizing GPU
  * time under the slack, with time discretized to @p buckets. Slow;
  * for tests and ablations only.

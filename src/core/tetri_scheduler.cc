@@ -14,43 +14,9 @@ namespace tetri::core {
 using costmodel::Resolution;
 using serving::Request;
 
-namespace {
-
-/** Field-wise equality so Reconfigure can tell a real options change
- * from a no-op (and only bump the options generation for the real
- * thing). */
-bool
-SameTetriOptions(const TetriOptions& a, const TetriOptions& b)
-{
-  return a.step_granularity == b.step_granularity &&
-         a.placement_preservation == b.placement_preservation &&
-         a.elastic_scale_up == b.elastic_scale_up &&
-         a.selective_batching == b.selective_batching &&
-         a.max_batch == b.max_batch &&
-         a.batch_max_resolution == b.batch_max_resolution &&
-         a.deadline_margin_frac == b.deadline_margin_frac &&
-         a.overload_utilization == b.overload_utilization &&
-         a.use_continuous_planner == b.use_continuous_planner &&
-         a.reference_plan == b.reference_plan &&
-         a.packer == b.packer &&
-         a.packer_min_utilization == b.packer_min_utilization &&
-         a.allow_non_pow2 == b.allow_non_pow2 &&
-         a.incremental_replan == b.incremental_replan;
-}
-
-}  // namespace
-
 TetriScheduler::TetriScheduler(const costmodel::LatencyTable* table,
                                TetriOptions options)
-    : table_(table),
-      options_(options),
-      round_us_(ComputeRoundDuration(*table, options.step_granularity))
-{
-  ApplyConfig();
-}
-
-void
-TetriScheduler::ApplyConfig()
+    : table_(table), options_(options)
 {
   TETRI_CHECK(table_ != nullptr);
   TETRI_CHECK(options_.step_granularity >= 1);
@@ -62,15 +28,7 @@ TetriScheduler::ApplyConfig()
   TETRI_CHECK_MSG(options_.allow_non_pow2 == table_->extended_degrees(),
                   "allow_non_pow2 requires (and is required by) a table "
                   "profiled with extended_degrees");
-  // Incremental reuse is proven against the staircase/DP fast path;
-  // the reference and continuous planners have no reuse windows.
-  TETRI_CHECK_MSG(!options_.incremental_replan ||
-                      (!options_.reference_plan &&
-                       !options_.use_continuous_planner),
-                  "incremental_replan requires the round-aware fast "
-                  "path (no reference_plan / use_continuous_planner)");
   round_us_ = ComputeRoundDuration(*table_, options_.step_granularity);
-  packer_.reset();
   if (options_.packer != packers::PackerKind::kAuto) {
     packers::PackerOptions popts;
     popts.min_utilization = options_.packer_min_utilization;
@@ -78,22 +36,6 @@ TetriScheduler::ApplyConfig()
     TETRI_CHECK(packer_ != nullptr);
   }
   scratch_.step_cache.Bind(table_);
-  // Staircases are keyed by (table, tau); poisoning the tau guard
-  // forces a rebuild on the next round even if tau is unchanged, which
-  // covers a table swap at equal round duration.
-  scratch_.staircase_tau = -1.0;
-}
-
-void
-TetriScheduler::Reconfigure(const costmodel::LatencyTable* table,
-                            const TetriOptions& options)
-{
-  TETRI_CHECK(table != nullptr);
-  if (table != table_) ++table_gen_;
-  if (!SameTetriOptions(options, options_)) ++options_gen_;
-  table_ = table;
-  options_ = options;
-  ApplyConfig();
 }
 
 std::string
@@ -208,95 +150,11 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   const bool fast = !options_.reference_plan;
   const int num_entries = static_cast<int>(ctx.schedulable->size());
 
-  // Incremental replanning (plan_delta.h): decide whether this round
-  // may reuse the previous round's state. Each invalidation rule that
-  // fires is counted independently; any firing forces a full replan —
-  // the "bit-identical or full replan" contract.
-  const bool inc = options_.incremental_replan;
-  bool full = true;
-  if (inc) {
-    full = false;
-    auto fire = [&](ReplanReason reason) {
-      full = true;
-      ++replan_.stats.reasons[static_cast<int>(reason)];
-    };
-    if (!replan_.warm) {
-      fire(ReplanReason::kColdStart);
-    } else {
-      if (tau != replan_.tau) fire(ReplanReason::kTauChanged);
-      if (table_gen_ != replan_.table_gen) {
-        fire(ReplanReason::kTableChanged);
-      }
-      if (options_gen_ != replan_.options_gen) {
-        fire(ReplanReason::kOptionsChanged);
-      }
-      if (ctx.free_gpus != replan_.free_gpus ||
-          static_cast<const void*>(ctx.topology) != replan_.topology) {
-        fire(ReplanReason::kHealthChanged);
-      }
-    }
-    // The merge walk aligns this round's queue with the cached slots
-    // on the static (deadline, id) key and derives the delta from
-    // ground truth; if the sequence is not strictly sorted on that
-    // key it cannot prove any alignment, so reuse is off the table.
-    if (!full && !DeriveRoundDelta(*ctx.schedulable, &replan_)) {
-      fire(ReplanReason::kOrderDrift);
-    }
-    if (full) replan_.ResetSlots(num_entries);
-    ++replan_.stats.rounds;
-    if (full) {
-      ++replan_.stats.full_replans;
-    } else {
-      ++replan_.stats.incremental_rounds;
-    }
-  }
-
-  // Plan memo: with an empty delta and every global input unchanged —
-  // same planning instant, free set, topology, table, and options (the
-  // invalidation rules above verified the globals; the merge walk
-  // verified queue membership) — the pipeline below is a deterministic
-  // function of byte-identical inputs, so its output is provably the
-  // cached plan. The walk below closes the gap the merge key cannot
-  // see: per-request fields Plan() reads (remaining steps, resolution,
-  // degree cap, preserved placement). This turns the no-change replan
-  // — a paced planner tick over an idle queue, the common case at
-  // sub-round reaction cadence — into an O(queue) revalidation. A
-  // trace sink disables the memo so per-stage events fire every round.
-  if (inc && !full && replan_.plan_cached && trace_ == nullptr &&
-      ctx.now == replan_.now && replan_.delta.arrivals == 0 &&
-      replan_.delta.removals == 0) {
-    bool unchanged = true;
-    for (int ei = 0; ei < num_entries; ++ei) {
-      const ReplanSlot& slot = replan_.next_slots[ei];
-      const Request& req = *(*ctx.schedulable)[ei];
-      if (slot.rem != req.RemainingSteps() ||
-          slot.resolution != req.meta.resolution ||
-          slot.degree_cap != req.degree_cap ||
-          slot.last_mask != req.last_mask ||
-          slot.last_degree != req.last_degree) {
-        unchanged = false;
-        break;
-      }
-    }
-    if (unchanged) {
-      ++replan_.stats.memo_hits;
-      // The merge walk moved the carried slots into next_slots; swap
-      // them back live so the next round's walk sees them.
-      replan_.slots.swap(replan_.next_slots);
-      replan_.num_slots = num_entries;
-      plan = replan_.cached_plan;
-      return plan;
-    }
-  }
-
-  // The memo caches below are pure functions of (table, tau), so
-  // incremental rounds keep them warm: every input change fires a
-  // full-replan rule above, and full rounds re-invalidate as before.
-  if (!inc || full) {
-    ++scratch_.round_epoch;
-    if (fast) scratch_.step_cache.BeginRound();
-    scratch_.degree_info_ready.fill(false);
-  }
+  // Per-round memo invalidation; the staircases survive while tau is
+  // stable.
+  ++scratch_.round_epoch;
+  if (fast) scratch_.step_cache.BeginRound();
+  scratch_.degree_info_ready.fill(false);
   if (fast && scratch_.staircase_tau != tau) {
     for (auto& per_res : scratch_.staircases) {
       for (PlanStaircase& s : per_res) s.built = false;
@@ -360,7 +218,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   if (static_cast<int>(scratch_.entries.size()) < num_entries) {
     scratch_.entries.resize(num_entries);
   }
-  if (!inc && static_cast<int>(scratch_.allocs.size()) < num_entries) {
+  if (static_cast<int>(scratch_.allocs.size()) < num_entries) {
     scratch_.allocs.resize(num_entries);
   }
   for (int ei = 0; ei < num_entries; ++ei) {
@@ -375,86 +233,31 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     const int rem = req->RemainingSteps();
     TETRI_CHECK(rem > 0);
     const double slack_c = std::max(entry.slack_us, 0.0);
-    ReplanSlot* slot = nullptr;
-    bool reused = false;
-    if (inc) {
-      // Slot reuse: the cached Stage-1 answer is exact while every
-      // lookup input is unchanged — same (table, tau) by the global
-      // guards, same resolution and remaining steps, no degree cap,
-      // and a clamped slack still inside the staircase interval the
-      // plan was materialized from.
-      slot = &replan_.next_slots[ei];
-      entry.alloc = &slot->alloc;
-      // Mirror the Stage-6 placement inputs unconditionally: the plan
-      // memo compares them, and they can change (a dispatch elsewhere)
-      // without invalidating the Stage-1 answer below.
-      slot->last_mask = req->last_mask;
-      slot->last_degree = req->last_degree;
-      if (!full && slot->carried) {
-        if (slot->alloc_valid && slot->rem == rem &&
-            slot->resolution == req->meta.resolution &&
-            slot->degree_cap == 0 && req->degree_cap == 0 &&
-            slack_c >= slot->window_lo && slack_c < slot->window_hi) {
-          reused = true;
-        } else if (slot->rem != rem) {
-          ++replan_.delta.steps_changed;
-        } else if (slot->degree_cap != req->degree_cap ||
-                   req->degree_cap > 0) {
-          ++replan_.delta.cap_changed;
-        } else if (slot->alloc_valid &&
-                   slot->resolution == req->meta.resolution) {
-          ++replan_.delta.window_crossed;
-        }
-      }
-      if (reused) {
-        ++replan_.delta.slots_reused;
-      } else {
-        slot->id = req->meta.id;
-        slot->deadline_us = req->meta.deadline_us;
-        slot->resolution = req->meta.resolution;
-        slot->rem = rem;
-        slot->degree_cap = req->degree_cap;
-        slot->alloc_valid = false;
-        ++replan_.delta.slots_replanned;
-      }
+    entry.alloc = &scratch_.allocs[ei];
+    if (req->degree_cap > 0) {
+      // Degraded-SP failure retry: plan against the capped degree set
+      // only. The shared cache and staircase are keyed by (resolution,
+      // steps) and cannot express a per-request cap, so both data
+      // paths run the same direct planner over freshly filtered info —
+      // equivalence holds by construction, and uncapped requests are
+      // untouched.
+      BuildRoundDegreeInfo(*table_, req->meta.resolution, tau,
+                           &scratch_.capped_info);
+      std::erase_if(scratch_.capped_info,
+                    [cap = req->degree_cap](const RoundDegreeInfo& d) {
+                      return d.degree > cap;
+                    });
+      RoundAwarePlanInto(scratch_.capped_info, rem, slack_c, tau,
+                         entry.alloc);
+    } else if (options_.use_continuous_planner) {
+      *entry.alloc = FindPlan(*table_, req->meta.resolution, rem, slack_c);
+    } else if (fast) {
+      LookupRoundPlan(staircase(req->meta.resolution, rem),
+                      degree_info(req->meta.resolution), slack_c,
+                      entry.alloc);
     } else {
-      entry.alloc = &scratch_.allocs[ei];
-    }
-    if (!reused) {
-      if (req->degree_cap > 0) {
-        // Degraded-SP failure retry: plan against the capped degree
-        // set only. The shared cache and staircase are keyed by
-        // (resolution, steps) and cannot express a per-request cap, so
-        // both data paths run the same direct planner over freshly
-        // filtered info — equivalence holds by construction, and
-        // uncapped requests are untouched.
-        BuildRoundDegreeInfo(*table_, req->meta.resolution, tau,
-                             &scratch_.capped_info);
-        std::erase_if(scratch_.capped_info,
-                      [cap = req->degree_cap](const RoundDegreeInfo& d) {
-                        return d.degree > cap;
-                      });
-        RoundAwarePlanInto(scratch_.capped_info, rem, slack_c, tau,
-                           entry.alloc);
-      } else if (options_.use_continuous_planner) {
-        *entry.alloc = FindPlan(*table_, req->meta.resolution, rem,
-                                slack_c);
-      } else if (inc) {
-        PlanReuseWindow window;
-        LookupRoundPlan(staircase(req->meta.resolution, rem),
-                        degree_info(req->meta.resolution), slack_c,
-                        entry.alloc, &window);
-        slot->window_lo = window.lo;
-        slot->window_hi = window.hi;
-        slot->alloc_valid = true;
-      } else if (fast) {
-        LookupRoundPlan(staircase(req->meta.resolution, rem),
-                        degree_info(req->meta.resolution), slack_c,
-                        entry.alloc);
-      } else {
-        *entry.alloc = RoundAwarePlan(*table_, req->meta.resolution,
-                                      rem, slack_c, tau);
-      }
+      *entry.alloc = RoundAwarePlan(*table_, req->meta.resolution, rem,
+                                    slack_c, tau);
     }
     entry.late = !entry.alloc->feasible;
     if (trace_ != nullptr) {
@@ -538,14 +341,6 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
   // ---- Stage 2: round packing DP (Algorithm 1) ----
   scratch_.group_entry.clear();
   int num_groups = 0;
-  // DP clean prefix: groups are rebuilt every round (cheaply, off the
-  // memoized bounds — their weights and survival flags genuinely drift
-  // with time), but while they compare byte-equal to last round's
-  // groups at the same positions and capacity, the DP value rows over
-  // that prefix are bitwise unchanged and the incremental pack resumes
-  // past them.
-  bool prefix_clean = inc && !full && capacity == replan_.prev_capacity;
-  int num_clean = 0;
   for (int ei = 0; ei < num_entries; ++ei) {
     Entry& entry = scratch_.entries[ei];
     if (entry.late) continue;
@@ -558,7 +353,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     if (static_cast<int>(scratch_.groups.size()) <= num_groups) {
       scratch_.groups.emplace_back();
     }
-    PackGroup& group = scratch_.groups[num_groups];
+    packers::PackGroup& group = scratch_.groups[num_groups];
     group.options.clear();
     group.id = req.meta.id;
     const double lb_rem = lower_bound(res, rem);
@@ -581,7 +376,7 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
       // holds; only the remaining step count caps it.
       const int q = std::min(rem, steps_in_round(res, seg.degree));
       if (q <= 0) continue;  // discard q == 0 options (Algorithm 1)
-      PackOption opt;
+      packers::PackOption opt;
       opt.degree = seg.degree;
       opt.steps = q;
       opt.survives = next_round + lower_bound(res, rem - q) <= deadline_eff;
@@ -590,67 +385,30 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
       opt.work = weight * static_cast<double>(q) * t_min;
       group.options.push_back(opt);
     }
-    if (prefix_clean) {
-      if (num_groups < replan_.prev_num_groups &&
-          SamePackGroup(replan_.prev_groups[num_groups], group)) {
-        ++num_clean;
-      } else {
-        prefix_clean = false;
-      }
-    }
     ++num_groups;
     scratch_.group_entry.push_back(ei);
   }
 
-  if (inc) {
-    // Incremental Stage 2: resume the persistent full DP tables past
-    // the byte-identical prefix. With no reusable prefix the rolling
-    // two-row DP is strictly faster than refilling the full tables
-    // (less memory traffic), and both DPs are bit-identical by
-    // construction — so route through it and invalidate the tables;
-    // they rebuild the next time a clean prefix actually exists.
-    if (packer_ != nullptr) {
-      packer_->PackIncremental(scratch_.groups.data(), num_groups,
-                               capacity, num_clean, &scratch_.packed);
-    } else if (num_clean > 0) {
-      PackRoundIncrementalInto(scratch_.groups.data(), num_groups,
-                               capacity, num_clean, &scratch_.pack_inc,
-                               &scratch_.packed);
-    } else {
-      PackRoundInto(scratch_.groups.data(), num_groups, capacity,
-                    &scratch_.pack, &scratch_.packed);
-      scratch_.pack_inc.valid_groups = 0;
-    }
-    replan_.stats.dp_rows_reused += num_clean;
-    replan_.stats.dp_rows_total += num_groups;
-    if (static_cast<int>(replan_.prev_groups.size()) < num_groups) {
-      replan_.prev_groups.resize(num_groups);
-    }
-    for (int gi = num_clean; gi < num_groups; ++gi) {
-      replan_.prev_groups[gi] = scratch_.groups[gi];
-    }
-    replan_.prev_num_groups = num_groups;
-    replan_.prev_capacity = capacity;
-  } else if (packer_ != nullptr) {
+  if (packer_ != nullptr) {
     // Pluggable Stage 2: the selected packer replaces the DP on both
     // data paths, so reference_plan still exercises the seed profile
     // of every other stage around an identical pack.
     packer_->Pack(scratch_.groups.data(), num_groups, capacity,
                   &scratch_.packed);
   } else if (fast) {
-    PackRoundInto(scratch_.groups.data(), num_groups, capacity,
-                  &scratch_.pack, &scratch_.packed);
+    packers::PackRoundInto(scratch_.groups.data(), num_groups, capacity,
+                           &scratch_.pack, &scratch_.packed);
   } else {
     // Reproduce the seed's allocation profile: a fresh exact-size
     // group vector feeding the per-call nested-vector DP.
-    const std::vector<PackGroup> groups_copy(
+    const std::vector<packers::PackGroup> groups_copy(
         scratch_.groups.begin(), scratch_.groups.begin() + num_groups);
-    scratch_.packed = PackRoundReference(groups_copy, capacity);
+    scratch_.packed = packers::PackRoundReference(groups_copy, capacity);
   }
-  const PackResult& packed = scratch_.packed;
+  const packers::PackResult& packed = scratch_.packed;
   for (int gi = 0; gi < num_groups; ++gi) {
     if (packed.choice[gi] < 0) continue;
-    const PackOption& opt =
+    const packers::PackOption& opt =
         scratch_.groups[gi].options[packed.choice[gi]];
     Entry& entry = scratch_.entries[scratch_.group_entry[gi]];
     entry.chosen_degree = opt.degree;
@@ -1000,33 +758,6 @@ TetriScheduler::Plan(const serving::ScheduleContext& ctx)
     ev.value = static_cast<double>(cluster::Popcount(placed)) /
                static_cast<double>(capacity);
     emit(ev);
-  }
-  if (inc) {
-    // Commit the round into the cross-round replan state: remember the
-    // environment fingerprint the invalidation rules compare against
-    // and promote this round's slot buffer to be next round's cache.
-    replan_.warm = true;
-    replan_.tau = tau;
-    replan_.free_gpus = ctx.free_gpus;
-    replan_.topology = static_cast<const void*>(ctx.topology);
-    replan_.table_gen = table_gen_;
-    replan_.options_gen = options_gen_;
-    replan_.slots.swap(replan_.next_slots);
-    replan_.num_slots = num_entries;
-    ReplanStats& stats = replan_.stats;
-    const PlanDelta& delta = replan_.delta;
-    stats.arrivals += delta.arrivals;
-    stats.removals += delta.removals;
-    stats.steps_changed += delta.steps_changed;
-    stats.cap_changed += delta.cap_changed;
-    stats.window_crossed += delta.window_crossed;
-    stats.slots_reused += delta.slots_reused;
-    stats.slots_replanned += delta.slots_replanned;
-    // Arm the plan memo: a later round that proves all inputs
-    // unchanged re-emits this plan verbatim.
-    replan_.now = ctx.now;
-    replan_.cached_plan = plan;
-    replan_.plan_cached = true;
   }
   return plan;
 }

@@ -29,9 +29,8 @@
 #include <memory>
 
 #include "core/allocation.h"
-#include "core/dp_packer.h"
-#include "core/plan_delta.h"
 #include "costmodel/step_time_cache.h"
+#include "packers/dp_packer.h"
 #include "packers/packer.h"
 #include "serving/scheduler.h"
 
@@ -98,15 +97,6 @@ struct TetriOptions {
    * table only has pow2 cells to plan with).
    */
   bool allow_non_pow2 = false;
-  /**
-   * Carry Stage-1 staircase answers, Stage-2 DP value rows, and the
-   * pure memo caches across rounds, recomputing only what each
-   * round's delta touched (plan_delta.h). Plans are bit-identical to
-   * from-scratch planning — every reuse is proven exact or the round
-   * falls back to a full replan. Requires the round-aware fast path
-   * (incompatible with reference_plan and use_continuous_planner).
-   */
-  bool incremental_replan = false;
 };
 
 /** The TetriServe policy. */
@@ -142,31 +132,6 @@ class TetriScheduler : public serving::Scheduler {
   const TetriOptions& options() const { return options_; }
 
   /**
-   * Swap the latency table and/or planning options mid-run. Re-derives
-   * the round duration, rebuilds the packer, rebinds every table-keyed
-   * cache, and — when incremental_replan is on — forces the next round
-   * to a full replan (ReplanReason::kTableChanged /
-   * kOptionsChanged). The same consistency rules as construction
-   * apply (allow_non_pow2 must match the table's extended_degrees).
-   */
-  void Reconfigure(const costmodel::LatencyTable* table,
-                   const TetriOptions& options);
-  /** Reconfigure keeping the current options. */
-  void set_table(const costmodel::LatencyTable* table) {
-    Reconfigure(table, options_);
-  }
-  /** Reconfigure keeping the current table. */
-  void set_options(const TetriOptions& options) {
-    Reconfigure(table_, options);
-  }
-
-  /** Cumulative incremental-replanning counters (plan_delta.h); all
-   * zero unless incremental_replan is on. */
-  const ReplanStats& replan_stats() const { return replan_.stats; }
-  /** The delta of the most recent incremental round. */
-  const PlanDelta& last_plan_delta() const { return replan_.delta; }
-
-  /**
    * Round duration rule (§4.2.2): granularity x the step time of the
    * reference resolution (1024px) at its most GPU-efficient degree.
    */
@@ -177,8 +142,7 @@ class TetriScheduler : public serving::Scheduler {
   /** Working entry for one schedulable request within Plan. */
   struct Entry {
     serving::Request* request = nullptr;
-    /** Stage-1 answer; points into scratch_.allocs (from-scratch
-     * rounds) or into the request's ReplanSlot (incremental reuse). */
+    /** Stage-1 answer; points into scratch_.allocs. */
     AllocationPlan* alloc = nullptr;
     double slack_us = 0.0;   // deadline - vae - now
     bool late = false;       // definitely late already
@@ -212,9 +176,9 @@ class TetriScheduler : public serving::Scheduler {
    */
   struct PlanScratch {
     std::vector<Entry> entries;
-    std::vector<PackGroup> groups;  // active prefix: num_groups
-    std::vector<int> group_entry;   // group index -> entry index
-    std::vector<Pending> pendings;  // active prefix: num_pendings
+    std::vector<packers::PackGroup> groups;  // active prefix: num_groups
+    std::vector<int> group_entry;            // group index -> entry index
+    std::vector<Pending> pendings;           // active prefix: num_pendings
     std::vector<Entry*> edf;
     std::vector<Entry*> admitted;
     std::vector<std::size_t> order;
@@ -246,13 +210,12 @@ class TetriScheduler : public serving::Scheduler {
     // per-resolution cache or the staircase; rebuilt on demand for the
     // rare capped request, identically on both data paths.
     std::vector<RoundDegreeInfo> capped_info;
-    /** Stage-1 plan storage for non-incremental rounds (entries hold
-     * pointers so the incremental path can alias its slot cache). */
+    // Stage-1 plan storage, parallel to entries. Holding the plans by
+    // value in Entry instead measured +1.2 MiB peak RSS on the
+    // e2ebench sim-steady-flux workload (4-vCPU Xeon, GCC 12).
     std::vector<AllocationPlan> allocs;
-    PackScratch pack;
-    /** Persistent full DP tables for incremental rounds (kAuto). */
-    packers::PackIncrementalScratch pack_inc;
-    PackResult packed;
+    packers::PackScratch pack;
+    packers::PackResult packed;
     costmodel::StepTimeCache step_cache;
   };
 
@@ -269,21 +232,12 @@ class TetriScheduler : public serving::Scheduler {
   std::vector<DegreeCost> RoundEffectiveCosts(costmodel::Resolution res,
                                               double tau) const;
 
-  /** Shared construction/Reconfigure validation and cache rebinding. */
-  void ApplyConfig();
-
   const costmodel::LatencyTable* table_;
   TetriOptions options_;
   TimeUs round_us_;
   /** Non-null iff options_.packer != kAuto; owns the Stage-2 packer. */
   std::unique_ptr<packers::RoundPacker> packer_;
   PlanScratch scratch_;
-  /** Cross-round incremental replanning state (plan_delta.h). */
-  ReplanState replan_;
-  /** Bumped by Reconfigure when the table / the options change; the
-   * replanner full-replans on any generation it has not seen. */
-  std::uint64_t table_gen_ = 0;
-  std::uint64_t options_gen_ = 0;
   trace::TraceSink* trace_ = nullptr;
   /** Ordinal of the round being planned; -1 before the first. */
   std::int32_t round_seq_ = -1;

@@ -122,43 +122,6 @@ PackResult PackRoundReference(const std::vector<PackGroup>& groups,
                               int capacity);
 
 /**
- * Persistent full DP value tables for incremental packing: unlike
- * PackScratch's two rolling rows, every (group prefix, width) value is
- * kept across calls so a later call whose leading groups are unchanged
- * can resume the DP mid-table. Invalidation is shape-based: a capacity
- * change discards everything, and valid_groups tracks how many rows
- * the previous call left trustworthy.
- */
-struct PackIncrementalScratch {
-  // Full (num_groups + 1) x (capacity + 1) tables, row-major.
-  std::vector<int> survivors;
-  std::vector<double> work;
-  std::vector<int> width;
-  std::vector<int> parent;
-  std::vector<int> parent_c;
-  /** Rows [0, valid_groups] match the previous call's group prefix. */
-  int valid_groups = -1;
-  /** Row width the tables are laid out for (-1 = empty). */
-  int capacity = -1;
-};
-
-/**
- * Incremental PackRoundInto: identical output, but DP rows for the
- * first @p num_clean groups are restored from @p scratch instead of
- * recomputed. The caller guarantees groups[0, num_clean) are byte-wise
- * identical (SamePackGroup) to the same positions of the previous call
- * on this scratch; num_clean is clamped to what the scratch actually
- * holds, and a capacity change falls back to a full recompute, so a
- * conservative caller can always pass 0. Recomputed rows use the exact
- * PackRoundInto update order and comparator — results are bit-identical
- * to a from-scratch pack by induction over rows.
- */
-void PackRoundIncrementalInto(const PackGroup* groups, int num_groups,
-                              int capacity, int num_clean,
-                              PackIncrementalScratch* scratch,
-                              PackResult* result);
-
-/**
  * Reference exhaustive packer for tests: enumerates every choice
  * combination. Exponential — only for small instances.
  */

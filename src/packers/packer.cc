@@ -17,18 +17,6 @@ class DpPacker final : public RoundPacker {
     const std::vector<PackGroup> copy(groups, groups + num_groups);
     *result = PackRoundReference(copy, capacity);
   }
-
-  void PackIncremental(const PackGroup* groups, int num_groups,
-                       int capacity, int num_clean,
-                       PackResult* result) override {
-    // Bit-identical to PackRoundReference: the incremental engine
-    // replays the same update order over persistent full tables.
-    PackRoundIncrementalInto(groups, num_groups, capacity, num_clean,
-                             &inc_scratch_, result);
-  }
-
- private:
-  PackIncrementalScratch inc_scratch_;
 };
 
 /** The DP on the flat-arena fast path; scratch reused across calls. */
@@ -41,25 +29,8 @@ class StaircasePacker final : public RoundPacker {
     PackRoundInto(groups, num_groups, capacity, &scratch_, result);
   }
 
-  void PackIncremental(const PackGroup* groups, int num_groups,
-                       int capacity, int num_clean,
-                       PackResult* result) override {
-    // No reusable prefix: the rolling two-row DP beats refilling the
-    // persistent full tables, and both are bit-identical by
-    // construction. Invalidate the tables; they rebuild the next time
-    // a clean prefix exists.
-    if (num_clean > 0) {
-      PackRoundIncrementalInto(groups, num_groups, capacity, num_clean,
-                               &inc_scratch_, result);
-    } else {
-      PackRoundInto(groups, num_groups, capacity, &scratch_, result);
-      inc_scratch_.valid_groups = 0;
-    }
-  }
-
  private:
   PackScratch scratch_;
-  PackIncrementalScratch inc_scratch_;
 };
 
 }  // namespace

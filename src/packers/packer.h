@@ -77,24 +77,6 @@ class RoundPacker {
    */
   virtual void Pack(const PackGroup* groups, int num_groups,
                     int capacity, PackResult* result) = 0;
-
-  /**
-   * Optional incremental entry point used by the incremental
-   * replanner: the caller certifies that groups[0, num_clean) are
-   * byte-identical to the same positions of this packer's previous
-   * PackIncremental call. Implementations may resume cached per-prefix
-   * state but MUST return exactly what Pack() would on the full input
-   * — the replan differential harness holds them to it. The default
-   * ignores the hint and packs from scratch (the progressive packer's
-   * fallback); the DP packers override it with persistent full value
-   * tables.
-   */
-  virtual void PackIncremental(const PackGroup* groups, int num_groups,
-                               int capacity, int num_clean,
-                               PackResult* result) {
-    (void)num_clean;
-    Pack(groups, num_groups, capacity, result);
-  }
 };
 
 /** Display name of a kind ("auto" for kAuto). */

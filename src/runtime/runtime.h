@@ -462,10 +462,8 @@ class ServingRuntime {
    * All kQueued requests, kept sorted by (deadline, id) — maintained
    * incrementally at every state transition (admission, dispatch,
    * requeue, terminal) instead of rebuilt and re-sorted per planner
-   * tick. The tick filters this carried list into `snapshot_`, so an
-   * unchanged queue reaches the scheduler as an unchanged schedulable
-   * sequence — exactly the delta shape the incremental replanner's
-   * plan memo answers without replanning.
+   * tick. The tick only filters this carried list into `snapshot_`,
+   * so a planner tick never rebuilds or re-sorts the queue.
    */
   std::vector<QueuedRef> queued_;
   /** GPUs not executing anything (planner's view). */

@@ -8,10 +8,10 @@
 
 #include <cmath>
 
-#include "core/dp_packer.h"
+#include "packers/dp_packer.h"
 #include "util/rng.h"
 
-namespace tetri::core {
+namespace tetri::packers {
 namespace {
 
 PackGroup
@@ -260,4 +260,4 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, PackerNearTieSweep,
                          ::testing::Range(1, 80));
 
 }  // namespace
-}  // namespace tetri::core
+}  // namespace tetri::packers

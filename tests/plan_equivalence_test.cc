@@ -63,13 +63,9 @@ TEST_P(PlanEquivalenceSweep, FastPathMatchesReference)
   TetriOptions fast_opts;
   TetriOptions ref_opts;
   ref_opts.reference_plan = true;
-  TetriOptions inc_opts;
-  inc_opts.incremental_replan = true;
   TetriScheduler fast(&table, fast_opts);
   TetriScheduler ref(&table, ref_opts);
-  TetriScheduler incr(&table, inc_opts);
   ASSERT_EQ(fast.RoundDurationUs(), ref.RoundDurationUs());
-  ASSERT_EQ(fast.RoundDurationUs(), incr.RoundDurationUs());
 
   Rng rng(seed);
   RequestTracker tracker;
@@ -116,9 +112,6 @@ TEST_P(PlanEquivalenceSweep, FastPathMatchesReference)
     auto fast_plan = fast.Plan(ctx);
     auto ref_plan = ref.Plan(ctx);
     ExpectPlansIdentical(fast_plan, ref_plan);
-    // The incremental replanner rides the same sweep: queue churn and
-    // per-round free-mask changes must never break bit-identity.
-    ExpectPlansIdentical(fast_plan, incr.Plan(ctx));
 
     // Advance request state a little so later rounds see different
     // queues (mimic partial execution without running the engine).
@@ -159,16 +152,11 @@ TEST_P(EndToEndEquivalence, RunsAreAssignmentIdentical)
 
   TetriOptions ref_opts;
   ref_opts.reference_plan = true;
-  TetriOptions inc_opts;
-  inc_opts.incremental_replan = true;
   TetriScheduler fast(&system.table());
   TetriScheduler ref(&system.table(), ref_opts);
-  TetriScheduler incr(&system.table(), inc_opts);
 
   auto fast_result = system.Run(&fast, trace);
   auto ref_result = system.Run(&ref, trace);
-  auto inc_result = system.Run(&incr, trace);
-  EXPECT_GT(incr.replan_stats().rounds, 0u);
 
   // Aggregate accounting must match exactly (same plans -> same
   // jittered executions -> identical double accumulation order).
@@ -201,24 +189,6 @@ TEST_P(EndToEndEquivalence, RunsAreAssignmentIdentical)
     EXPECT_EQ(fast_tl[i].batch, ref_tl[i].batch) << "entry " << i;
     EXPECT_EQ(fast_tl[i].steps, ref_tl[i].steps) << "entry " << i;
     EXPECT_EQ(fast_tl[i].requests, ref_tl[i].requests)
-        << "entry " << i;
-  }
-
-  // Incremental replanning must leave the full execution golden: same
-  // aggregates, same timeline, entry for entry.
-  EXPECT_EQ(fast_result.makespan_us, inc_result.makespan_us);
-  EXPECT_EQ(fast_result.num_assignments, inc_result.num_assignments);
-  EXPECT_EQ(fast_result.num_dropped, inc_result.num_dropped);
-  EXPECT_EQ(fast_result.busy_gpu_us, inc_result.busy_gpu_us);
-  const auto& inc_tl = inc_result.timeline.entries();
-  ASSERT_EQ(fast_tl.size(), inc_tl.size());
-  for (std::size_t i = 0; i < fast_tl.size(); ++i) {
-    EXPECT_EQ(fast_tl[i].start_us, inc_tl[i].start_us) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].end_us, inc_tl[i].end_us) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].mask, inc_tl[i].mask) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].batch, inc_tl[i].batch) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].steps, inc_tl[i].steps) << "entry " << i;
-    EXPECT_EQ(fast_tl[i].requests, inc_tl[i].requests)
         << "entry " << i;
   }
 }

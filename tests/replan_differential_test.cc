@@ -1,32 +1,27 @@
 /**
  * @file
- * Replan differential-testing harness — the proof obligation for
- * incremental round replanning (core/plan_delta.h): with
- * TetriOptions::incremental_replan on, every round's plan must be
- * bit-for-bit identical to what a from-scratch scheduler produces on
- * the same inputs, across randomized churn sequences that exercise
- * every delta source the replanner claims to handle:
+ * Replan differential-testing harness for the scheduler's cross-round
+ * state. A long-lived fast-path TetriScheduler plans round after round
+ * on its PlanScratch caches — the tau-guarded Stage-1 staircases, the
+ * epoch-stamped lower-bound memo, the StepTimeCache, the
+ * per-resolution degree info, and the reused entry/group/pending
+ * buffers. Every round its plan must be bit-for-bit identical to the
+ * seed data path (TetriOptions::reference_plan), which carries no
+ * planning state across rounds, on randomized churn sequences that
+ * exercise every input a round can change:
  *
  *  - arrivals, completions, and step progress (queue membership and
  *    RemainingSteps churn);
- *  - GPU failures and recoveries (free-mask churn — the kHealthChanged
- *    invalidation rule);
- *  - SP degradation (degree_cap churn) and placement echoes
- *    (last_mask / last_degree writes, the Stage-6 preservation inputs
- *    the plan memo must also revalidate);
- *  - round-window jitter (kTauChanged) and same-instant replan ticks
- *    (the plan-memo fast path);
+ *  - GPU failures and recoveries (free-mask churn);
+ *  - SP degradation (degree_cap churn, the capped-info rebuild) and
+ *    placement echoes (last_mask / last_degree writes, the Stage-6
+ *    preservation inputs);
+ *  - round-window jitter (the staircase tau guard) and same-instant
+ *    replan ticks (the paced planner loop's no-change wakeups);
  *
  * for both degree regimes (pow2 and extended non-pow2 tables) and
- * every Stage-2 packer routing: the built-in kAuto path, the "dp" and
- * "staircase" plugins (which implement PackIncremental), and the
- * "progressive" plugin (which falls back to a from-scratch Pack).
- *
- * The companion ReplanInvalidation suite pins each invalidation rule
- * individually: mutating the latency table, the packer, allow_non_pow2,
- * GPU health, or the round window mid-run must force a full replan —
- * observed through the replan-reason counters — and still produce the
- * from-scratch plan.
+ * every Stage-2 packer routing: the built-in kAuto path and the "dp",
+ * "staircase", and "progressive" plugins.
  *
  * The sweep is seed-pinned: every churn script is a pure function of
  * its seed. TETRI_REPLAN_SEED=<N> reruns exactly one seed; on any
@@ -108,8 +103,8 @@ ExpectPlansIdentical(const serving::RoundPlan& a,
 // The churn simulation (pure function of the seed)
 // ---------------------------------------------------------------
 
-/** One differential case: a fresh (from-scratch) scheduler and an
- * incremental scheduler plan the same randomized churn sequence in
+/** One differential case: a long-lived fast-path scheduler and a
+ * reference-path scheduler plan the same randomized churn sequence in
  * lockstep; any divergence is a contract violation. Every executed op
  * is appended to @p log for the replay dump. */
 void
@@ -118,19 +113,19 @@ RunReplanCase(std::uint64_t seed, bool non_pow2, PackerKind kind,
 {
   const Fixture& fx = GetFixture(non_pow2);
 
-  TetriOptions base;
-  base.packer = kind;
-  base.allow_non_pow2 = non_pow2;
-  TetriScheduler fresh(&fx.table, base);
-  TetriOptions inc_opts = base;
-  inc_opts.incremental_replan = true;
-  TetriScheduler inc(&fx.table, inc_opts);
+  TetriOptions fast_opts;
+  fast_opts.packer = kind;
+  fast_opts.allow_non_pow2 = non_pow2;
+  TetriScheduler fast(&fx.table, fast_opts);
+  TetriOptions ref_opts = fast_opts;
+  ref_opts.reference_plan = true;
+  TetriScheduler ref(&fx.table, ref_opts);
 
   Rng rng(seed * 2 + (non_pow2 ? 1 : 0));
   serving::RequestTracker tracker;
   TimeUs now = 1000000;
-  const TimeUs tau = fresh.RoundDurationUs();
-  ASSERT_EQ(tau, inc.RoundDurationUs());
+  const TimeUs tau = fast.RoundDurationUs();
+  ASSERT_EQ(tau, ref.RoundDurationUs());
   GpuMask free_gpus = cluster::FullMask(kNumGpus);
   RequestId next_id = 0;
   std::vector<RequestId> live;  // admitted, not yet completed
@@ -218,8 +213,8 @@ RunReplanCase(std::uint64_t seed, bool non_pow2, PackerKind kind,
         note("degrade id=" + std::to_string(req->meta.id) +
              " cap=" + std::to_string(req->degree_cap));
       } else {
-        // Placement echo: what the runtime writes at dispatch. The
-        // memo must see these (Stage 6 preservation reads them).
+        // Placement echo: what the runtime writes at dispatch (Stage 6
+        // preservation reads them).
         serving::Request* req = pick_live();
         if (req == nullptr) continue;
         const int degree = 1 << rng.NextBelow(3);
@@ -232,8 +227,8 @@ RunReplanCase(std::uint64_t seed, bool non_pow2, PackerKind kind,
       }
     }
 
-    // Occasional round-window jitter: a caller-driven tau change the
-    // replanner must answer with a full replan (kTauChanged).
+    // Occasional round-window jitter: a caller-driven tau change must
+    // rebuild the staircases and re-key every per-round memo.
     TimeUs round_end = now + tau;
     if (rng.NextDouble() < 0.05) {
       round_end = now + static_cast<TimeUs>(
@@ -243,8 +238,8 @@ RunReplanCase(std::uint64_t seed, bool non_pow2, PackerKind kind,
     }
 
     auto schedulable = tracker.Schedulable(now);
-    // An empty queue (or free set) short-circuits Plan() before the
-    // replan machinery; those rounds don't count toward the stats.
+    // An empty queue (or free set) short-circuits Plan() before any
+    // planning; those rounds don't count as planned.
     if (!schedulable.empty()) ++planned_rounds;
     serving::ScheduleContext ctx;
     ctx.now = now;
@@ -256,27 +251,27 @@ RunReplanCase(std::uint64_t seed, bool non_pow2, PackerKind kind,
 
     // Alternate planning order across rounds: neither scheduler may
     // mutate shared state, and alternating would catch it if one did.
-    serving::RoundPlan plan_fresh;
-    serving::RoundPlan plan_inc;
+    serving::RoundPlan plan_fast;
+    serving::RoundPlan plan_ref;
     if ((round & 1) == 0) {
-      plan_fresh = fresh.Plan(ctx);
-      plan_inc = inc.Plan(ctx);
+      plan_fast = fast.Plan(ctx);
+      plan_ref = ref.Plan(ctx);
     } else {
-      plan_inc = inc.Plan(ctx);
-      plan_fresh = fresh.Plan(ctx);
+      plan_ref = ref.Plan(ctx);
+      plan_fast = fast.Plan(ctx);
     }
     {
       SCOPED_TRACE("round " + std::to_string(round) + " now=" +
                    std::to_string(now));
-      ExpectPlansIdentical(plan_fresh, plan_inc);
+      ExpectPlansIdentical(plan_fast, plan_ref);
     }
     if (::testing::Test::HasFailure()) return;
 
     // Occasionally echo a planned assignment back into its members,
     // exactly as the runtime's dispatch does.
-    if (!plan_fresh.assignments.empty() && rng.NextDouble() < 0.4) {
-      const auto& a = plan_fresh.assignments[rng.NextBelow(
-          plan_fresh.assignments.size())];
+    if (!plan_fast.assignments.empty() && rng.NextDouble() < 0.4) {
+      const auto& a = plan_fast.assignments[rng.NextBelow(
+          plan_fast.assignments.size())];
       for (const RequestId id : a.requests) {
         serving::Request& req = tracker.Get(id);
         req.last_mask = a.mask;
@@ -286,7 +281,7 @@ RunReplanCase(std::uint64_t seed, bool non_pow2, PackerKind kind,
     }
 
     // Same-instant replan ticks (the paced planner loop's no-change
-    // wakeups) exercise the plan memo; otherwise advance a round.
+    // wakeups) replan on warm caches; otherwise advance a round.
     if (rng.NextDouble() < 0.7) {
       now += tau;
       note("advance now=" + std::to_string(now));
@@ -295,13 +290,9 @@ RunReplanCase(std::uint64_t seed, bool non_pow2, PackerKind kind,
     }
   }
 
-  // Counter coherence: every round is exactly one of full or
-  // incremental, and memo hits are a subset of incremental rounds.
-  const ReplanStats& st = inc.replan_stats();
-  EXPECT_EQ(st.rounds, static_cast<std::uint64_t>(planned_rounds));
-  EXPECT_EQ(st.rounds, st.full_replans + st.incremental_rounds);
-  EXPECT_LE(st.memo_hits, st.incremental_rounds);
-  EXPECT_EQ(fresh.replan_stats().rounds, 0u);
+  // Both schedulers really planned every non-empty round.
+  EXPECT_EQ(fast.rounds_planned(), planned_rounds);
+  EXPECT_EQ(ref.rounds_planned(), planned_rounds);
 }
 
 /** Dump the executed op script for offline replay; returns the path. */
@@ -335,6 +326,8 @@ PinnedSeed()
 class ReplanDifferential : public ::testing::TestWithParam<int> {
 };
 
+// "Incremental" names the long-lived fast-path scheduler: it plans
+// each round on caches carried over from the rounds before it.
 TEST_P(ReplanDifferential, IncrementalPlansBitIdenticalUnderChurn)
 {
   // Each shard covers 20 seeds x 2 degree regimes x 4 packer
@@ -369,234 +362,6 @@ TEST_P(ReplanDifferential, IncrementalPlansBitIdenticalUnderChurn)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ReplanDifferential,
                          ::testing::Range(0, 16));
-
-// ---------------------------------------------------------------
-// Invalidation property tests: each rule, pinned individually
-// ---------------------------------------------------------------
-
-/** A steady scenario both schedulers plan in lockstep; tests mutate
- * one input between rounds and observe the replan-reason counters. */
-class ReplanInvalidation : public ::testing::Test {
- protected:
-  void Init(TetriOptions base = {}, bool non_pow2 = false)
-  {
-    fx_ = &GetFixture(non_pow2);
-    base.allow_non_pow2 = non_pow2;
-    fresh_ = std::make_unique<TetriScheduler>(&fx_->table, base);
-    TetriOptions inc_opts = base;
-    inc_opts.incremental_replan = true;
-    inc_ = std::make_unique<TetriScheduler>(&fx_->table, inc_opts);
-    tau_ = fresh_->RoundDurationUs();
-    Rng rng(7);
-    for (RequestId id = 0; id < 10; ++id) {
-      workload::TraceRequest meta;
-      meta.id = id;
-      meta.resolution = costmodel::ResolutionFromIndex(
-          static_cast<int>(rng.NextBelow(4)));
-      meta.arrival_us = now_ - 100000;
-      meta.deadline_us =
-          now_ + static_cast<TimeUs>(
-                     workload::SloPolicy::BaseTargetSec(meta.resolution) *
-                     1e6 * rng.NextRange(0.8, 1.6));
-      meta.num_steps = 50;
-      tracker_.Admit(meta).steps_done =
-          static_cast<int>(rng.NextBelow(40));
-    }
-  }
-
-  /** Plan one round on both schedulers and assert bit-identity. */
-  void PlanRound(TimeUs round_end = 0)
-  {
-    schedulable_ = tracker_.Schedulable(now_);
-    serving::ScheduleContext ctx;
-    ctx.now = now_;
-    ctx.round_end = round_end != 0 ? round_end : now_ + tau_;
-    ctx.free_gpus = free_;
-    ctx.schedulable = &schedulable_;
-    ctx.topology = &fx_->topo;
-    ctx.table = &fx_->table;
-    last_fresh_ = fresh_->Plan(ctx);
-    last_inc_ = inc_->Plan(ctx);
-    ExpectPlansIdentical(last_fresh_, last_inc_);
-  }
-
-  /** Two rounds to get past kColdStart into warm incremental state. */
-  void Warm()
-  {
-    PlanRound();
-    now_ += tau_;
-    PlanRound();
-    ASSERT_GE(Stats().incremental_rounds, 1u);
-  }
-
-  const ReplanStats& Stats() const { return inc_->replan_stats(); }
-  std::uint64_t Reason(ReplanReason r) const
-  {
-    return Stats().reasons[static_cast<int>(r)];
-  }
-
-  const Fixture* fx_ = nullptr;
-  serving::RequestTracker tracker_;
-  std::vector<serving::Request*> schedulable_;
-  std::unique_ptr<TetriScheduler> fresh_;
-  std::unique_ptr<TetriScheduler> inc_;
-  TimeUs now_ = 1000000;
-  TimeUs tau_ = 0;
-  GpuMask free_ = cluster::FullMask(kNumGpus);
-  serving::RoundPlan last_fresh_;
-  serving::RoundPlan last_inc_;
-};
-
-TEST_F(ReplanInvalidation, ColdStartThenIncrementalSteadyState)
-{
-  Init();
-  PlanRound();
-  EXPECT_EQ(Reason(ReplanReason::kColdStart), 1u);
-  EXPECT_EQ(Stats().full_replans, 1u);
-  now_ += tau_;
-  PlanRound();
-  EXPECT_EQ(Stats().incremental_rounds, 1u);
-  EXPECT_FALSE(inc_->last_plan_delta().full_replan);
-  EXPECT_GT(Stats().slots_reused + Stats().slots_replanned, 0u);
-}
-
-TEST_F(ReplanInvalidation, TableSwapForcesFullReplan)
-{
-  Init();
-  Warm();
-  // A byte-identical re-profile at a different address: the swap must
-  // still invalidate (generation check, not pointer luck), and the
-  // plans must stay identical because the contents are identical.
-  const LatencyTable table2 =
-      LatencyTable::Profile(fx_->cost, 4, 20, 5, false);
-  fresh_->set_table(&table2);
-  inc_->set_table(&table2);
-  now_ += tau_;
-  const std::uint64_t before = Stats().full_replans;
-  PlanRound();
-  EXPECT_EQ(Reason(ReplanReason::kTableChanged), 1u);
-  EXPECT_EQ(Stats().full_replans, before + 1);
-}
-
-TEST_F(ReplanInvalidation, PackerSwitchForcesFullReplan)
-{
-  Init();
-  Warm();
-  TetriOptions switched = inc_->options();
-  switched.packer = PackerKind::kDp;
-  inc_->set_options(switched);
-  TetriOptions fresh_switched = fresh_->options();
-  fresh_switched.packer = PackerKind::kDp;
-  fresh_->set_options(fresh_switched);
-  now_ += tau_;
-  PlanRound();
-  EXPECT_GE(Reason(ReplanReason::kOptionsChanged), 1u);
-  // And the next unperturbed round is incremental again.
-  const std::uint64_t inc_before = Stats().incremental_rounds;
-  now_ += tau_;
-  PlanRound();
-  EXPECT_EQ(Stats().incremental_rounds, inc_before + 1);
-}
-
-TEST_F(ReplanInvalidation, NonPow2ReconfigureForcesFullReplan)
-{
-  Init();
-  Warm();
-  const Fixture& ext = GetFixture(true);
-  TetriOptions switched = inc_->options();
-  switched.allow_non_pow2 = true;
-  inc_->Reconfigure(&ext.table, switched);
-  TetriOptions fresh_switched = fresh_->options();
-  fresh_switched.allow_non_pow2 = true;
-  fresh_->Reconfigure(&ext.table, fresh_switched);
-  fx_ = &ext;  // both schedulers now plan against the extended table
-  now_ += tau_;
-  PlanRound();
-  EXPECT_GE(Reason(ReplanReason::kOptionsChanged), 1u);
-  EXPECT_GE(Reason(ReplanReason::kTableChanged), 1u);
-}
-
-TEST_F(ReplanInvalidation, GpuHealthChangeForcesFullReplan)
-{
-  Init();
-  Warm();
-  free_ &= ~GpuMask{1};  // fail GPU 0
-  now_ += tau_;
-  PlanRound();
-  EXPECT_EQ(Reason(ReplanReason::kHealthChanged), 1u);
-  free_ |= GpuMask{1};  // recovery invalidates just the same
-  now_ += tau_;
-  PlanRound();
-  EXPECT_EQ(Reason(ReplanReason::kHealthChanged), 2u);
-}
-
-TEST_F(ReplanInvalidation, RoundWindowChangeForcesFullReplan)
-{
-  Init();
-  Warm();
-  now_ += tau_;
-  PlanRound(now_ + 2 * tau_);
-  EXPECT_EQ(Reason(ReplanReason::kTauChanged), 1u);
-}
-
-TEST_F(ReplanInvalidation, UnsortedScheduleForcesFullReplan)
-{
-  Init();
-  Warm();
-  now_ += tau_;
-  schedulable_ = tracker_.Schedulable(now_);
-  ASSERT_GE(schedulable_.size(), 2u);
-  std::swap(schedulable_[0], schedulable_[1]);
-  serving::ScheduleContext ctx;
-  ctx.now = now_;
-  ctx.round_end = now_ + tau_;
-  ctx.free_gpus = free_;
-  ctx.schedulable = &schedulable_;
-  ctx.topology = &fx_->topo;
-  ctx.table = &fx_->table;
-  // Same (mis-ordered) input to both: the incremental scheduler must
-  // detect the drift, full-replan, and still match from-scratch.
-  const auto plan_fresh = fresh_->Plan(ctx);
-  const auto plan_inc = inc_->Plan(ctx);
-  ExpectPlansIdentical(plan_fresh, plan_inc);
-  EXPECT_EQ(Reason(ReplanReason::kOrderDrift), 1u);
-}
-
-TEST_F(ReplanInvalidation, MemoServesUnchangedTickAndSeesMutations)
-{
-  Init();
-  Warm();
-  // An exact repeat at the same instant is a memo hit.
-  PlanRound();
-  EXPECT_EQ(Stats().memo_hits, 1u);
-  // A placement echo (a field only Stage 6 reads) defeats the memo:
-  // the replan is real, and still bit-identical.
-  serving::Request& req = *tracker_.Schedulable(now_)[0];
-  req.last_mask = GpuMask{0b11};
-  req.last_degree = 2;
-  PlanRound();
-  EXPECT_EQ(Stats().memo_hits, 1u);
-  // Step progress at the same instant likewise defeats the memo and
-  // shows up in the delta.
-  req.steps_done += 3;
-  PlanRound();
-  EXPECT_EQ(Stats().memo_hits, 1u);
-  EXPECT_GE(inc_->last_plan_delta().steps_changed, 1);
-  // With the queue quiescent again, the memo resumes.
-  PlanRound();
-  EXPECT_EQ(Stats().memo_hits, 2u);
-}
-
-TEST_F(ReplanInvalidation, DegradeCapDefeatsMemoAndReplansSlot)
-{
-  Init();
-  Warm();
-  serving::Request& req = *tracker_.Schedulable(now_)[0];
-  req.degree_cap = 1;
-  PlanRound();
-  EXPECT_EQ(Stats().memo_hits, 0u);
-  EXPECT_GE(inc_->last_plan_delta().cap_changed, 1);
-}
 
 }  // namespace
 }  // namespace tetri::core

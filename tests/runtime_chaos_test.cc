@@ -203,44 +203,6 @@ TEST_P(RuntimeChaosDrainSweep, ConservationHoldsUnderSeed)
 INSTANTIATE_TEST_SUITE_P(ChaosSeeds, RuntimeChaosDrainSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-/** One chaos drain-sweep seed with incremental replanning on: the
- * planner thread feeds the scheduler real churn (arrivals, dispatch
- * occupancy, requeues, degradations) and the run must conserve exactly
- * like the from-scratch scheduler does. Named Replan* so the
- * replan-differential CI job and the TSan matrix both select it. */
-TEST(ReplanRuntimeChaosTest, DrainConservationHoldsWithIncrementalOn)
-{
-  core::TetriOptions scheduler_opts;
-  scheduler_opts.incremental_replan = true;
-  core::TetriScheduler scheduler(&F().table, scheduler_opts);
-  RuntimeOptions options;
-  options.num_workers = 3;
-  options.chaos.seed = 3;
-  options.chaos.horizon_tasks = 24;
-  options.chaos.horizon_rounds = 12;
-  options.chaos.planner_stall_us = 1500.0;
-  options.watchdog_interval_us = 500.0;
-  options.backoff_base_us = 100.0;
-  ServingRuntime runtime(&scheduler, &F().topo, &F().table, options);
-  constexpr int kRequests = 48;
-  for (int i = 0; i < kRequests; ++i) {
-    EXPECT_EQ(runtime.Submit(i % 3, Resolution::k256, 3, kAmpleBudgetUs),
-              AdmitOutcome::kAdmitted);
-  }
-  runtime.Drain();
-  const RuntimeStats stats = runtime.stats();
-  EXPECT_EQ(stats.completed + stats.dropped + stats.failed,
-            stats.admission.admitted);
-  EXPECT_EQ(stats.active, 0u);
-  EXPECT_GT(stats.completed, 0u);
-  // The incremental path really ran: rounds were planned, and the
-  // counters stayed coherent under live planner-thread churn.
-  const core::ReplanStats& replan = scheduler.replan_stats();
-  EXPECT_GT(replan.rounds, 0u);
-  EXPECT_EQ(replan.rounds,
-            replan.full_replans + replan.incremental_rounds);
-}
-
 TEST(RuntimeChaosDrainTest, ConservationCheckerStaysClean)
 {
   audit::Auditor auditor;

@@ -9,15 +9,9 @@
  * exceeds the threshold — the geomean absorbs per-cell CI noise while
  * still catching an across-the-board slowdown.
  *
- * When the current report carries a "churn" block (produced by
- * `bench_micro_scheduler --churn`), the gate additionally enforces the
- * incremental-replanning floor: every cell with queue_depth <= 64 must
- * show at least --churn-min-speedup p50 speedup over from-scratch
- * replanning. Reports without the block skip the check.
- *
  * Usage:
  *   bench_gate <baseline.json> <current.json>
- *              [--threshold=1.20] [--churn-min-speedup=5.0]
+ *              [--threshold=1.20]
  *              [--append-trajectory=<path> --label=<text>]
  *
  * --append-trajectory appends one JSONL record per invocation to the
@@ -53,19 +47,10 @@ struct PackerRow {
   int frag_total = 0;
 };
 
-struct ChurnRow {
-  int queue_depth = 0;
-  int num_gpus = 0;
-  double inc_p50_us = 0.0;
-  double speedup_p50 = 0.0;
-  double memo_hit_frac = 0.0;
-};
-
 struct Report {
   std::string mode;
   std::vector<Config> configs;
   std::vector<PackerRow> packers;  // optional "packers" block
-  std::vector<ChurnRow> churn;     // optional "churn" block
 };
 
 /** Extract the number following "<key>": in @p obj, or NAN. */
@@ -157,38 +142,6 @@ ParseReport(const std::string& path, Report* out)
     return false;
   }
 
-  // Optional churn block (bench_micro_scheduler --churn): incremental
-  // vs from-scratch replanning under single-request churn. Older
-  // reports predate it, so absence is not an error.
-  const auto churn_pos = text.find("\"churn\"", close);
-  if (churn_pos != std::string::npos) {
-    const auto copen = text.find('[', churn_pos);
-    const auto cclose = text.find(']', churn_pos);
-    if (copen != std::string::npos && cclose != std::string::npos) {
-      std::size_t cpos = copen;
-      while (true) {
-        const auto obj_open = text.find('{', cpos);
-        if (obj_open == std::string::npos || obj_open > cclose) break;
-        const auto obj_close = text.find('}', obj_open);
-        if (obj_close == std::string::npos) break;
-        const std::string obj =
-            text.substr(obj_open, obj_close - obj_open + 1);
-        ChurnRow row;
-        row.queue_depth =
-            static_cast<int>(NumberField(obj, "queue_depth"));
-        row.num_gpus = static_cast<int>(NumberField(obj, "num_gpus"));
-        row.inc_p50_us = NumberField(obj, "inc_p50_us");
-        row.speedup_p50 = NumberField(obj, "speedup_p50");
-        row.memo_hit_frac = NumberField(obj, "memo_hit_frac");
-        if (row.queue_depth > 0 && row.num_gpus > 0 &&
-            std::isfinite(row.speedup_p50)) {
-          out->churn.push_back(row);
-        }
-        cpos = obj_close + 1;
-      }
-    }
-  }
-
   // Optional packer-matrix block (bench_micro_scheduler --packers).
   // Older reports predate it, so absence is not an error.
   const auto packers_pos = text.find("\"packers\"", close);
@@ -224,7 +177,7 @@ int
 Usage()
 {
   std::cerr << "usage: bench_gate <baseline.json> <current.json> "
-               "[--threshold=R] [--churn-min-speedup=R] "
+               "[--threshold=R] "
                "[--append-trajectory=PATH --label=TEXT]\n";
   return 2;
 }
@@ -239,16 +192,12 @@ main(int argc, char** argv)
   std::string trajectory_path;
   std::string label;
   double threshold = 1.20;
-  double churn_min_speedup = 5.0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--threshold=", 0) == 0) {
       threshold = std::strtod(arg.c_str() + 12, nullptr);
       if (!(threshold > 0)) return Usage();
-    } else if (arg.rfind("--churn-min-speedup=", 0) == 0) {
-      churn_min_speedup = std::strtod(arg.c_str() + 20, nullptr);
-      if (!(churn_min_speedup > 0)) return Usage();
     } else if (arg.rfind("--append-trajectory=", 0) == 0) {
       trajectory_path = arg.substr(20);
     } else if (arg.rfind("--label=", 0) == 0) {
@@ -333,46 +282,6 @@ main(int argc, char** argv)
                 << dp->frag_met << "\n";
       return 1;
     }
-  }
-
-  // Churn block (when the current report carries one): print the rows
-  // and enforce the incremental-replanning headline — at interactive
-  // queue depths (<= 64) the incremental path must beat from-scratch
-  // replanning by at least --churn-min-speedup on p50. Reports without
-  // the block (older baselines, runs without --churn) skip the check.
-  if (!current.churn.empty()) {
-    std::map<std::pair<int, int>, const ChurnRow*> churn_base;
-    for (const ChurnRow& row : baseline.churn) {
-      churn_base[{row.queue_depth, row.num_gpus}] = &row;
-    }
-    std::printf("%8s %6s %14s %10s %8s %10s\n", "depth", "gpus",
-                "inc_p50_us", "speedup", "memo", "vs_base");
-    bool churn_fail = false;
-    for (const ChurnRow& row : current.churn) {
-      const auto it =
-          churn_base.find({row.queue_depth, row.num_gpus});
-      const bool has_base =
-          it != churn_base.end() && it->second->inc_p50_us > 0 &&
-          row.inc_p50_us > 0;
-      const double vs_base =
-          has_base ? row.inc_p50_us / it->second->inc_p50_us : NAN;
-      std::printf("%8d %6d %14.3f %9.2fx %7.0f%% %9s\n",
-                  row.queue_depth, row.num_gpus, row.inc_p50_us,
-                  row.speedup_p50, row.memo_hit_frac * 100.0,
-                  has_base
-                      ? (std::to_string(vs_base).substr(0, 4) + "x")
-                            .c_str()
-                      : "-");
-      if (row.queue_depth <= 64 &&
-          row.speedup_p50 < churn_min_speedup) {
-        std::cerr << "bench_gate: FAIL — churn speedup "
-                  << row.speedup_p50 << "x at depth "
-                  << row.queue_depth << " below floor "
-                  << churn_min_speedup << "x\n";
-        churn_fail = true;
-      }
-    }
-    if (churn_fail) return 1;
   }
 
   if (!trajectory_path.empty()) {

@@ -82,36 +82,6 @@ TetriScheduler::EffectiveDeadlineUs(const Request& req) const
          options_.deadline_margin_frac * budget;
 }
 
-std::vector<DegreeCost>
-TetriScheduler::RoundEffectiveCosts(costmodel::Resolution res,
-                                    double tau) const
-{
-  std::vector<DegreeCost> costs;
-  for (int k : table_->degrees()) {
-    const double t = table_->StepTimeUs(res, k);
-    const int q = static_cast<int>(std::floor(tau / t));
-    DegreeCost cost;
-    cost.degree = k;
-    if (q >= 1) {
-      cost.step_time_us = tau / q;
-    } else {
-      // A step longer than the round spills over ceil(T/tau) rounds.
-      cost.step_time_us = std::ceil(t / tau) * tau;
-    }
-    cost.gpu_time_us = k * cost.step_time_us;
-    costs.push_back(cost);
-  }
-  return costs;
-}
-
-int
-TetriScheduler::StepsInRound(Resolution res, int degree, int batch,
-                             double window_us) const
-{
-  const double t = table_->StepTimeUs(res, degree, batch);
-  return static_cast<int>(std::floor(window_us / t));
-}
-
 serving::RoundPlan
 TetriScheduler::Plan(const serving::ScheduleContext& ctx)
 {

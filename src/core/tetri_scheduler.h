@@ -220,17 +220,6 @@ class TetriScheduler : public serving::Scheduler {
   };
 
   double EffectiveDeadlineUs(const serving::Request& req) const;
-  int StepsInRound(costmodel::Resolution res, int degree, int batch,
-                   double window_us) const;
-
-  /**
-   * Per-degree costs adjusted for round quantization: a degree whose
-   * raw step time is T completes q = floor(tau/T) steps per round, so
-   * its *effective* per-step wall time is tau/q. Planning with these
-   * keeps deadline math honest about end-of-round idle bubbles.
-   */
-  std::vector<DegreeCost> RoundEffectiveCosts(costmodel::Resolution res,
-                                              double tau) const;
 
   const costmodel::LatencyTable* table_;
   TetriOptions options_;

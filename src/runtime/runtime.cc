@@ -529,39 +529,6 @@ ServingRuntime::PostWatchdogRequeue(std::uint64_t seq,
 }
 
 void
-ServingRuntime::QueueInsert(serving::Request* request)
-{
-  const QueuedRef ref{request->meta.deadline_us, request->meta.id,
-                      request};
-  const auto pos = std::lower_bound(
-      queued_.begin(), queued_.end(), ref,
-      [](const QueuedRef& a, const QueuedRef& b) {
-        if (a.deadline_us != b.deadline_us) {
-          return a.deadline_us < b.deadline_us;
-        }
-        return a.id < b.id;
-      });
-  TETRI_CHECK(pos == queued_.end() || pos->request != request);
-  queued_.insert(pos, ref);
-}
-
-void
-ServingRuntime::QueueErase(const serving::Request& request)
-{
-  const QueuedRef key{request.meta.deadline_us, request.meta.id,
-                      nullptr};
-  const auto pos = std::lower_bound(
-      queued_.begin(), queued_.end(), key,
-      [](const QueuedRef& a, const QueuedRef& b) {
-        if (a.deadline_us != b.deadline_us) {
-          return a.deadline_us < b.deadline_us;
-        }
-        return a.id < b.id;
-      });
-  if (pos != queued_.end() && pos->id == key.id) queued_.erase(pos);
-}
-
-void
 ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
 {
   free_gpus_ |= msg.assignment.mask;
@@ -580,7 +547,7 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
       AuditTransition(id, serving::RequestState::kRunning,
                       serving::RequestState::kQueued, now);
       request.state = serving::RequestState::kQueued;
-      QueueInsert(&request);  // the drop paths below erase again
+      queued_.Insert(&request);  // the drop paths below erase again
       ++request.failure_retries;
       ++requeued;
       if (options_.retry.degrade_sp) {
@@ -633,7 +600,7 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
       AuditTransition(id, serving::RequestState::kRunning,
                       serving::RequestState::kQueued, now);
       request.state = serving::RequestState::kQueued;
-      QueueInsert(&request);
+      queued_.Insert(&request);
     }
   }
 }
@@ -682,7 +649,7 @@ ServingRuntime::AdmitPending(std::vector<workload::TraceRequest>* pending)
         continue;
       }
     }
-    QueueInsert(&it->second);
+    queued_.Insert(&it->second);
   }
   pending->clear();
   const util::MutexLock lock(stats_mu_);
@@ -739,13 +706,13 @@ ServingRuntime::PlanOnce(TimeUs now)
   // Requests inside a retry-backoff window are invisible this round;
   // their gate is the planner's next timed wake.
   snapshot_.clear();
-  for (const QueuedRef& ref : queued_) {
-    const auto gate = not_before_.find(ref.id);
+  for (const serving::QueuedList::Entry& entry : queued_) {
+    const auto gate = not_before_.find(entry.id);
     if (gate != not_before_.end()) {
       if (gate->second > now) continue;
       not_before_.erase(gate);
     }
-    snapshot_.push_back(ref.request);
+    snapshot_.push_back(entry.request);
   }
 
   std::size_t kept = 0;
@@ -826,7 +793,7 @@ ServingRuntime::PlanOnce(TimeUs now)
       AuditTransition(id, serving::RequestState::kQueued,
                       serving::RequestState::kRunning, now);
       member.state = serving::RequestState::kRunning;
-      QueueErase(member);
+      queued_.Erase(member);
       member.last_mask = assignment.mask;
       member.last_degree = degree;
       member.degree_step_sum +=
@@ -928,7 +895,7 @@ ServingRuntime::RemoveRequest(RequestId id, metrics::Outcome outcome,
 {
   const auto it = active_.find(id);
   if (it == active_.end()) return;
-  QueueErase(it->second);
+  queued_.Erase(it->second);
   const TenantId tenant = it->second.meta.tenant;
   if (options_.on_complete) {
     Completion completion;

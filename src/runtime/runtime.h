@@ -80,6 +80,7 @@
 #include "runtime/admission_queue.h"
 #include "runtime/fair_queue.h"
 #include "runtime/runtime_chaos.h"
+#include "serving/queued_list.h"
 #include "serving/request.h"
 #include "serving/scheduler.h"
 #include "trace/sink.h"
@@ -436,21 +437,6 @@ class ServingRuntime {
   std::atomic<TimeUs> planner_heartbeat_us_{0};
   std::atomic<bool> planner_waiting_{false};
 
-  /** One entry of the persistent queued list: the (deadline, id) sort
-   * key — immutable for a request's lifetime — plus the stable
-   * Request pointer the schedulable snapshot needs. */
-  struct QueuedRef {
-    TimeUs deadline_us = 0;
-    RequestId id = kInvalidRequest;
-    serving::Request* request = nullptr;
-  };
-
-  /** Insert @p request into `queued_` at its sorted position. */
-  void QueueInsert(serving::Request* request);
-  /** Remove @p request from `queued_` if present (no-op otherwise:
-   * terminal transitions out of kRunning were never queued). */
-  void QueueErase(const serving::Request& request);
-
   // --- planner-thread-only scheduling state ---
   /** Active requests; node-based map so Request* stays stable for
    * ScheduleContext::schedulable. Terminal requests are erased, so the
@@ -458,14 +444,10 @@ class ServingRuntime {
   std::unordered_map<RequestId, serving::Request> active_;
   /** Retry-backoff gates: request not plannable before this time. */
   std::unordered_map<RequestId, TimeUs> not_before_;
-  /**
-   * All kQueued requests, kept sorted by (deadline, id) — maintained
-   * incrementally at every state transition (admission, dispatch,
-   * requeue, terminal) instead of rebuilt and re-sorted per planner
-   * tick. The tick only filters this carried list into `snapshot_`,
-   * so a planner tick never rebuilds or re-sorts the queue.
-   */
-  std::vector<QueuedRef> queued_;
+  /** All kQueued requests in (deadline, id) order, updated at every
+   * state transition; a planner tick only filters it into
+   * `snapshot_`. */
+  serving::QueuedList queued_;
   /** GPUs not executing anything (planner's view). */
   GpuMask free_gpus_ = 0;
   std::vector<workload::TraceRequest> pending_;

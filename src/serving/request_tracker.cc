@@ -1,7 +1,5 @@
 #include "serving/request_tracker.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace tetri::serving {
@@ -18,7 +16,10 @@ RequestTracker::Admit(const workload::TraceRequest& meta)
   Request req;
   req.meta = meta;
   requests_.push_back(std::move(req));
-  return requests_.back();
+  Request& admitted = requests_.back();
+  queued_.Insert(&admitted);
+  ++num_active_;
+  return admitted;
 }
 
 void
@@ -29,7 +30,18 @@ RequestTracker::Transition(Request& request, RequestState to, TimeUs now)
                                 static_cast<int>(request.state),
                                 static_cast<int>(to), now);
   }
+  const bool was_queued = request.state == RequestState::kQueued;
+  const bool was_active = request.Active();
   request.state = to;
+  const bool queued = to == RequestState::kQueued;
+  if (was_queued && !queued) {
+    TETRI_CHECK_MSG(queued_.Erase(request),
+                    "queued request " << request.meta.id
+                                      << " missing from the queued list");
+  }
+  if (!was_queued && queued) queued_.Insert(&request);
+  num_active_ += static_cast<int>(request.Active()) -
+                 static_cast<int>(was_active);
 }
 
 Request&
@@ -58,28 +70,10 @@ std::vector<Request*>
 RequestTracker::Schedulable(TimeUs now)
 {
   std::vector<Request*> out;
-  for (auto& req : requests_) {
-    if (req.state == RequestState::kQueued && req.Arrived(now)) {
-      out.push_back(&req);
-    }
+  for (const QueuedList::Entry& entry : queued_) {
+    if (entry.request->Arrived(now)) out.push_back(entry.request);
   }
-  std::sort(out.begin(), out.end(), [](const Request* a, const Request* b) {
-    if (a->meta.deadline_us != b->meta.deadline_us) {
-      return a->meta.deadline_us < b->meta.deadline_us;
-    }
-    return a->meta.id < b->meta.id;
-  });
   return out;
-}
-
-int
-RequestTracker::NumActive() const
-{
-  int count = 0;
-  for (const auto& req : requests_) {
-    if (req.Active()) ++count;
-  }
-  return count;
 }
 
 std::vector<metrics::RequestRecord>

@@ -7,10 +7,12 @@
 #ifndef TETRI_SERVING_REQUEST_TRACKER_H
 #define TETRI_SERVING_REQUEST_TRACKER_H
 
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "audit/sink.h"
+#include "serving/queued_list.h"
 #include "serving/request.h"
 
 namespace tetri::serving {
@@ -27,7 +29,8 @@ class RequestTracker {
   /**
    * Move @p request to @p to at time @p now. The single mutation point
    * for request states: every lifecycle change flows through here so
-   * the audit layer sees the full transition stream.
+   * the audit layer sees the full transition stream and the queued
+   * list and active count stay current.
    */
   void Transition(Request& request, RequestState to, TimeUs now);
 
@@ -38,19 +41,24 @@ class RequestTracker {
 
   /**
    * Requests that are schedulable right now: arrived, in kQueued state
-   * (not currently executing), sorted by deadline then id.
+   * (not currently executing), sorted by deadline then id. Filters the
+   * carried queued list; nothing is scanned or sorted.
    */
   std::vector<Request*> Schedulable(TimeUs now);
 
   /** All requests still kQueued or kRunning. */
-  int NumActive() const;
+  int NumActive() const { return num_active_; }
 
   /** Export every request as a metrics record (trace order). */
   std::vector<metrics::RequestRecord> Records() const;
 
  private:
   std::unordered_map<RequestId, std::size_t> index_;
-  std::vector<Request> requests_;
+  /** Admission order. A deque, so the Request* held by `queued_` and
+   * by callers stays valid as later admissions grow the store. */
+  std::deque<Request> requests_;
+  QueuedList queued_;
+  int num_active_ = 0;
   audit::AuditSink* audit_ = nullptr;
 };
 

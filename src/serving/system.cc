@@ -41,6 +41,15 @@ ServingResult
 ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
 {
   TETRI_CHECK(scheduler != nullptr);
+  // The first tick and the idle re-anchor below take the next arrival
+  // from a forward-only cursor, which is only right on a sorted trace.
+  TETRI_CHECK_MSG(
+      std::is_sorted(trace.requests.begin(), trace.requests.end(),
+                     [](const workload::TraceRequest& a,
+                        const workload::TraceRequest& b) {
+                       return a.arrival_us < b.arrival_us;
+                     }),
+      "trace is not sorted by arrival");
 
   sim::Simulator simulator;
   RequestTracker tracker;
@@ -192,23 +201,24 @@ ServingSystem::Run(Scheduler* scheduler, const workload::Trace& trace)
   }
 
   std::function<void()> round_tick;
+  // First trace entry arriving after the current tick. The clock only
+  // moves forward and the trace is sorted, so the cursor does too.
+  std::size_t next_arrival = 0;
   if (round_based) {
     // Fixed round grid; re-anchored to the next arrival when idle so
     // an empty system does not spin.
     round_tick = [&]() {
       invoke_scheduler();
       const TimeUs now = simulator.Now();
-      TimeUs next_arrival = -1;
-      for (const auto& req : trace.requests) {
-        if (req.arrival_us > now && !tracker.Contains(req.id)) {
-          next_arrival = req.arrival_us;
-          break;
-        }
+      while (next_arrival < trace.requests.size() &&
+             trace.requests[next_arrival].arrival_us <= now) {
+        ++next_arrival;
       }
       if (tracker.NumActive() > 0) {
         simulator.ScheduleAt(now + tau, round_tick);
-      } else if (next_arrival >= 0) {
-        simulator.ScheduleAt(next_arrival, round_tick);
+      } else if (next_arrival < trace.requests.size()) {
+        simulator.ScheduleAt(trace.requests[next_arrival].arrival_us,
+                             round_tick);
       }
     };
     if (!trace.requests.empty()) {

@@ -106,6 +106,11 @@ TraceFromCsv(const std::string& csv)
       TETRI_FATAL("trace CSV row for id " << req.id
                                           << " is inconsistent");
     }
+    if (!trace.requests.empty() &&
+        req.arrival_us < trace.requests.back().arrival_us) {
+      TETRI_FATAL("trace CSV row for id "
+                  << req.id << " arrives before the row above it");
+    }
     trace.requests.push_back(std::move(req));
   }
   return trace;

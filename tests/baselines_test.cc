@@ -33,12 +33,16 @@ class BaselineTest : public ::testing::Test {
   {
   }
 
-  Request& Admit(RequestId id, Resolution res, TimeUs arrival)
+  /** @p deadline < 0 means a 10 s SLO budget. The deadline is part of
+   * the tracker's queued-order key, so it is fixed at admission. */
+  Request& Admit(RequestId id, Resolution res, TimeUs arrival,
+                 TimeUs deadline = -1)
   {
     workload::TraceRequest meta;
     meta.id = id;
     meta.arrival_us = arrival;
-    meta.deadline_us = arrival + UsFromSec(10.0);
+    meta.deadline_us =
+        deadline >= 0 ? deadline : arrival + UsFromSec(10.0);
     meta.resolution = res;
     meta.num_steps = 50;
     return tracker_.Admit(meta);
@@ -85,10 +89,8 @@ TEST_F(BaselineTest, FixedSpFifoNotDeadlineOrder)
 {
   FixedSpScheduler sched(8);
   // Later deadline arrives first: FIFO picks it anyway.
-  Request& early_arrival = Admit(0, Resolution::k2048, 0);
-  early_arrival.meta.deadline_us = UsFromSec(100.0);
-  Request& late_arrival = Admit(1, Resolution::k256, 5);
-  late_arrival.meta.deadline_us = UsFromSec(1.0);
+  Admit(0, Resolution::k2048, 0, UsFromSec(100.0));
+  Admit(1, Resolution::k256, 5, UsFromSec(1.0));
   auto plan = sched.Plan(MakeContext(10));
   ASSERT_EQ(plan.assignments.size(), 1u);
   EXPECT_EQ(plan.assignments[0].requests[0], 0);
@@ -149,10 +151,8 @@ TEST_F(BaselineTest, RsspExplicitDegreesRespected)
 TEST_F(BaselineTest, EdfServesTightestDeadlineFirst)
 {
   EdfScheduler sched(&table_);
-  Request& relaxed = Admit(0, Resolution::k2048, 0);
-  relaxed.meta.deadline_us = UsFromSec(100.0);
-  Request& urgent = Admit(1, Resolution::k2048, 5);
-  urgent.meta.deadline_us = UsFromSec(2.0);
+  Admit(0, Resolution::k2048, 0, UsFromSec(100.0));  // relaxed
+  Admit(1, Resolution::k2048, 5, UsFromSec(2.0));    // urgent
   auto plan = sched.Plan(MakeContext(10));
   ASSERT_EQ(plan.assignments.size(), 1u);
   EXPECT_EQ(plan.assignments[0].requests[0], 1);

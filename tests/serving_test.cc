@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "baselines/fixed_sp.h"
 #include "serving/engine.h"
 #include "serving/latent_manager.h"
@@ -13,6 +17,7 @@
 #include "serving/system.h"
 #include "sim/simulator.h"
 #include "trace/trace.h"
+#include "util/rng.h"
 
 namespace tetri::serving {
 namespace {
@@ -62,8 +67,75 @@ TEST(RequestTrackerTest, RunningRequestsNotSchedulable)
 {
   RequestTracker tracker;
   tracker.Admit(MakeRequest(0, Resolution::k256, 0, 1000));
-  tracker.Get(0).state = RequestState::kRunning;
+  tracker.Transition(tracker.Get(0), RequestState::kRunning, 5);
   EXPECT_TRUE(tracker.Schedulable(10).empty());
+}
+
+/**
+ * The carried queued list against the scan-and-sort it replaced: seeded
+ * admit / dispatch / requeue / finish / drop / cancel churn through
+ * Transition, with Schedulable(now) and NumActive() checked against
+ * the oracle after every step. Admissions far outnumber the first
+ * store allocation, so a queued entry left dangling by store growth
+ * shows up as a pointer mismatch.
+ */
+TEST(RequestTrackerTest, CarriedQueuedListMatchesScanAndSort)
+{
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    RequestTracker tracker;
+    std::vector<RequestId> ids;
+    TimeUs now = 0;
+    for (int step = 0; step < 3000; ++step) {
+      now += static_cast<TimeUs>(rng.NextBelow(40));
+      if (ids.empty() || rng.NextBelow(3) == 0) {
+        // Arrivals up to 100 us ahead exercise the Arrived filter; a
+        // narrow deadline range forces (deadline, id) ties.
+        const auto id = static_cast<RequestId>(ids.size());
+        const TimeUs arrival = now + static_cast<TimeUs>(rng.NextBelow(100));
+        tracker.Admit(MakeRequest(
+            id, Resolution::k256, arrival,
+            arrival + 1 + static_cast<TimeUs>(rng.NextBelow(50))));
+        ids.push_back(id);
+      } else {
+        Request& req = tracker.Get(
+            ids[static_cast<std::size_t>(rng.NextBelow(ids.size()))]);
+        const std::uint64_t pick = rng.NextBelow(4);
+        if (req.state == RequestState::kQueued) {
+          const RequestState to[] = {RequestState::kRunning,
+                                     RequestState::kRunning,
+                                     RequestState::kDropped,
+                                     RequestState::kCancelled};
+          tracker.Transition(req, to[pick], now);
+        } else if (req.state == RequestState::kRunning) {
+          const RequestState to[] = {
+              RequestState::kQueued, RequestState::kFinished,
+              RequestState::kDropped, RequestState::kCancelled};
+          tracker.Transition(req, to[pick], now);
+        }
+      }
+
+      std::vector<Request*> oracle;
+      int active = 0;
+      for (const RequestId id : ids) {
+        Request& req = tracker.Get(id);
+        if (req.Active()) ++active;
+        if (req.state == RequestState::kQueued && req.Arrived(now)) {
+          oracle.push_back(&req);
+        }
+      }
+      std::sort(oracle.begin(), oracle.end(),
+                [](const Request* a, const Request* b) {
+                  if (a->meta.deadline_us != b->meta.deadline_us) {
+                    return a->meta.deadline_us < b->meta.deadline_us;
+                  }
+                  return a->meta.id < b->meta.id;
+                });
+      ASSERT_EQ(tracker.Schedulable(now), oracle) << "step " << step;
+      ASSERT_EQ(tracker.NumActive(), active) << "step " << step;
+    }
+  }
 }
 
 TEST(RequestTrackerDeathTest, DuplicateIdPanics)

@@ -94,5 +94,14 @@ TEST(TraceIoDeathTest, InconsistentDeadlineIsFatal)
       "inconsistent");
 }
 
+TEST(TraceIoDeathTest, OutOfOrderArrivalIsFatal)
+{
+  EXPECT_DEATH(
+      TraceFromCsv("id,arrival_us,deadline_us,resolution,num_steps,"
+                   "prompt\n1,500,900,256x256,5,\"p\"\n"
+                   "2,100,900,256x256,5,\"p\"\n"),
+      "arrives before the row above it");
+}
+
 }  // namespace
 }  // namespace tetri::workload

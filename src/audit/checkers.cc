@@ -249,43 +249,6 @@ GpuHealthChecker::OnLatentAssign(RequestId id, GpuMask mask, TimeUs now)
   }
 }
 
-// --- RequestConservationChecker ---
-
-void
-RequestConservationChecker::OnRequestAdmitted(RequestId id,
-                                              TimeUs /*arrival_us*/,
-                                              TimeUs /*deadline_us*/,
-                                              int /*num_steps*/)
-{
-  open_.insert(id);
-}
-
-void
-RequestConservationChecker::OnRequestTransition(RequestId id,
-                                                int /*from_state*/,
-                                                int to_state,
-                                                TimeUs /*now*/)
-{
-  const auto to = static_cast<serving::RequestState>(to_state);
-  if (to == serving::RequestState::kFinished ||
-      to == serving::RequestState::kDropped ||
-      to == serving::RequestState::kCancelled) {
-    open_.erase(id);
-  }
-}
-
-void
-RequestConservationChecker::OnRunEnd(TimeUs now)
-{
-  std::vector<RequestId> lost(open_.begin(), open_.end());
-  std::sort(lost.begin(), lost.end());
-  for (RequestId id : lost) {
-    Report(now, Msg("request ", id,
-                    " silently lost: admitted but never reached a "
-                    "terminal state"));
-  }
-}
-
 // --- RuntimeConservationChecker ---
 
 void
@@ -337,8 +300,8 @@ RuntimeConservationChecker::OnRunEnd(TimeUs now)
   std::sort(lost.begin(), lost.end());
   for (RequestId id : lost) {
     Report(now, Msg("request ", id,
-                    " still open at drain: admitted but never "
-                    "reached a terminal state"));
+                    " silently lost: admitted but never reached a "
+                    "terminal state"));
   }
   if (completed_ + dropped_ + cancelled_ + lost.size() != admitted_) {
     Report(now, Msg("terminal counts do not reconcile: completed ",
@@ -576,7 +539,7 @@ InstallStandardCheckers(Auditor& auditor, bool allow_non_pow2)
   auditor.AddChecker(std::make_unique<DeadlineAccountingChecker>());
   auditor.AddChecker(std::make_unique<LatentLifetimeChecker>());
   auditor.AddChecker(std::make_unique<GpuHealthChecker>());
-  auditor.AddChecker(std::make_unique<RequestConservationChecker>());
+  auditor.AddChecker(std::make_unique<RuntimeConservationChecker>());
 }
 
 CostModelSanityChecker&

@@ -20,9 +20,10 @@
  *  - GpuHealthChecker: no plan, dispatch, or latent placement ever
  *    touches a GPU that failed and has not recovered; fail/recover
  *    notifications bracket sanely.
- *  - RequestConservationChecker: every admitted request reaches a
- *    terminal state (finished/dropped/cancelled) by end of run — no
- *    request is silently lost across failures and requeues.
+ *  - RuntimeConservationChecker: every admitted request reaches
+ *    exactly one terminal state (finished/dropped/cancelled) by end of
+ *    run — no request is silently lost or counted twice across
+ *    failures and requeues, in the simulator and the runtime alike.
  *  - CostModelSanityChecker: profiled latencies are finite, positive,
  *    and monotone in resolution; runs once over the table at install.
  *
@@ -93,32 +94,16 @@ class GpuHealthChecker final : public Checker {
   GpuMask failed_ = 0;
 };
 
-/** Every admitted request reaches a terminal state by end of run. */
-class RequestConservationChecker final : public Checker {
- public:
-  std::string_view name() const override {
-    return "request-conservation";
-  }
-  void OnRequestAdmitted(RequestId id, TimeUs arrival_us,
-                         TimeUs deadline_us, int num_steps) override;
-  void OnRequestTransition(RequestId id, int from_state, int to_state,
-                           TimeUs now) override;
-  void OnRunEnd(TimeUs now) override;
-
- private:
-  /** Admitted requests not yet in a terminal state. */
-  std::unordered_set<RequestId> open_;
-};
-
 /**
- * Drain invariant of the concurrent serving runtime: every admitted
- * request reaches exactly one terminal state, and the terminal counts
- * reconcile exactly — completed + dropped + cancelled == admitted —
- * under any schedule of crashes, requeues, and retries. Stricter than
- * RequestConservationChecker: double admission, terminal transitions
+ * Request conservation, one rule for the simulator and the concurrent
+ * runtime (both feed it from serving::RequestTracker): every admitted
+ * request reaches exactly one terminal state by end of run, so
+ * completed + dropped + cancelled == admitted under any schedule of
+ * failures, crashes, requeues and retries. A request still open at
+ * run end was silently lost; double admission, terminal transitions
  * for unknown requests, and double terminals are violations too, so a
- * watchdog requeue racing a late worker completion cannot silently
- * count a request twice.
+ * watchdog requeue racing a late worker completion cannot count a
+ * request twice.
  *
  * Like every checker it must be fed from one thread; the runtime
  * emits all audit notifications from its planner thread.
@@ -126,7 +111,7 @@ class RequestConservationChecker final : public Checker {
 class RuntimeConservationChecker final : public Checker {
  public:
   std::string_view name() const override {
-    return "runtime-conservation";
+    return "request-conservation";
   }
   void OnRequestAdmitted(RequestId id, TimeUs arrival_us,
                          TimeUs deadline_us, int num_steps) override;

@@ -41,6 +41,7 @@ ServingRuntime::ServingRuntime(serving::Scheduler* scheduler,
                     "task is only ever requeued by a watchdog sweep");
   }
   free_gpus_ = topology_->all_gpus();
+  tracker_.set_audit(options_.audit);
   if (options_.trace != nullptr) scheduler_->set_trace(options_.trace);
   {
     const util::MutexLock lock(tenant_mu_);
@@ -232,14 +233,14 @@ ServingRuntime::PlannerLoop()
       // During drain the planner still blocks while assignments are in
       // flight — their completions signal the CondVar — and only stops
       // waiting once nothing is active, so the exit check below can
-      // run. active_ is planner-owned, hence loop-invariant here.
-      const bool exit_ready = draining_ && active_.empty();
+      // run. The tracker is planner-owned, hence loop-invariant here.
+      const bool exit_ready = draining_ && tracker_.NumActive() == 0;
       if (mailbox_.empty() && !work_pending_ && !exit_ready &&
           admissions_.size() == 0) {
         planner_waiting_.store(true, std::memory_order_relaxed);
         if (wait_us == std::numeric_limits<double>::infinity()) {
           while (mailbox_.empty() && !work_pending_ &&
-                 !(draining_ && active_.empty())) {
+                 !(draining_ && tracker_.NumActive() == 0)) {
             planner_cv_.Wait(planner_mu_);
           }
         } else if (wait_us > 0.0) {
@@ -269,7 +270,7 @@ ServingRuntime::PlannerLoop()
 
     PlanOnce(NowUs());
 
-    if (draining && active_.empty()) {
+    if (draining && tracker_.NumActive() == 0) {
       const util::MutexLock lock(planner_mu_);
       if (mailbox_.empty()) {
         // The admission queue is closed (Close() precedes draining_)
@@ -541,13 +542,8 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
     std::uint64_t requeued = 0;
     std::uint64_t backoffs = 0;
     for (const RequestId id : msg.assignment.requests) {
-      const auto it = active_.find(id);
-      if (it == active_.end()) continue;
-      serving::Request& request = it->second;
-      AuditTransition(id, serving::RequestState::kRunning,
-                      serving::RequestState::kQueued, now);
-      request.state = serving::RequestState::kQueued;
-      queued_.Insert(&request);  // the drop paths below erase again
+      serving::Request& request = tracker_.Get(id);
+      tracker_.Transition(request, serving::RequestState::kQueued, now);
       ++request.failure_retries;
       ++requeued;
       if (options_.retry.degrade_sp) {
@@ -587,9 +583,7 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
 
   const int degree = cluster::Popcount(msg.assignment.mask);
   for (const RequestId id : msg.assignment.requests) {
-    const auto it = active_.find(id);
-    if (it == active_.end()) continue;
-    serving::Request& request = it->second;
+    serving::Request& request = tracker_.Get(id);
     const int credited =
         std::min(msg.assignment.max_steps, request.RemainingSteps());
     request.steps_done += credited;
@@ -597,10 +591,7 @@ ServingRuntime::ApplyCompletion(const CompletionMsg& msg)
     if (request.RemainingSteps() <= 0) {
       FinishRequest(request, now);
     } else {
-      AuditTransition(id, serving::RequestState::kRunning,
-                      serving::RequestState::kQueued, now);
-      request.state = serving::RequestState::kQueued;
-      queued_.Insert(&request);
+      tracker_.Transition(request, serving::RequestState::kQueued, now);
     }
   }
 }
@@ -612,33 +603,23 @@ ServingRuntime::AdmitPending(std::vector<workload::TraceRequest>* pending)
   const TimeUs now = NowUs();
   std::uint64_t infeasible = 0;
   for (workload::TraceRequest& incoming : *pending) {
-    serving::Request request;
-    request.meta = std::move(incoming);
-    const RequestId id = request.meta.id;
     if (options_.trace != nullptr) {
       trace::TraceEvent ev;
       ev.kind = trace::TraceEventKind::kAdmit;
-      ev.time_us = request.meta.arrival_us;
-      ev.request = id;
-      ev.steps = request.meta.num_steps;
-      ev.value = static_cast<double>(request.meta.deadline_us -
-                                     request.meta.arrival_us);
+      ev.time_us = incoming.arrival_us;
+      ev.request = incoming.id;
+      ev.steps = incoming.num_steps;
+      ev.value =
+          static_cast<double>(incoming.deadline_us - incoming.arrival_us);
       options_.trace->OnEvent(ev);
     }
-    if (options_.audit != nullptr) {
-      options_.audit->OnRequestAdmitted(id, request.meta.arrival_us,
-                                        request.meta.deadline_us,
-                                        request.meta.num_steps);
-    }
-    const auto [it, inserted] = active_.emplace(id, std::move(request));
-    TETRI_CHECK(inserted);
+    serving::Request& admitted = tracker_.Admit(std::move(incoming));
     // Feasibility gate: even the fastest possible residual plan,
     // behind the current queue-delay estimate, cannot land before the
     // drop deadline — admitting would only waste planner rounds, so
     // the request terminates immediately (still a counted admission:
     // conservation holds).
     if (options_.feasibility_gate) {
-      serving::Request& admitted = it->second;
       const TimeUs min_span = MinResidualSpanUs(
           admitted.meta.resolution, admitted.meta.num_steps);
       const TimeUs estimate =
@@ -646,14 +627,12 @@ ServingRuntime::AdmitPending(std::vector<workload::TraceRequest>* pending)
       if (estimate > DropAtUs(admitted)) {
         ++infeasible;
         DropRequest(admitted, now, metrics::DropReason::kInfeasible);
-        continue;
       }
     }
-    queued_.Insert(&it->second);
   }
   pending->clear();
   const util::MutexLock lock(stats_mu_);
-  stats_.active = active_.size();
+  stats_.active = static_cast<std::uint64_t>(tracker_.NumActive());
   stats_.infeasible_rejects += infeasible;
 }
 
@@ -661,13 +640,15 @@ double
 ServingRuntime::NextEventDelayUs(TimeUs now) const
 {
   double next = std::numeric_limits<double>::infinity();
-  for (const auto& [id, request] : active_) {
-    if (request.state != serving::RequestState::kQueued) continue;
-    TimeUs event = DropAtUs(request);
-    const auto gate = not_before_.find(id);
-    if (gate != not_before_.end() && gate->second > now) {
-      event = std::min(event, gate->second);
-    }
+  for (const serving::RequestTracker::QueuedEntry& entry :
+       tracker_.Queued()) {
+    TimeUs event = DropAtUs(*entry.request);
+    // A gate stays in not_before_ until the first PlanOnce at or past
+    // it lets the request through, so one that expired since the last
+    // round is due now, not ignored: the request sat out that round
+    // and no completion may ever come to wake the planner for it.
+    const auto gate = not_before_.find(entry.id);
+    if (gate != not_before_.end()) event = std::min(event, gate->second);
     next = std::min(next, static_cast<double>(event - now));
   }
   return next < 0.0 ? 0.0 : next;
@@ -706,7 +687,8 @@ ServingRuntime::PlanOnce(TimeUs now)
   // Requests inside a retry-backoff window are invisible this round;
   // their gate is the planner's next timed wake.
   snapshot_.clear();
-  for (const serving::QueuedList::Entry& entry : queued_) {
+  for (const serving::RequestTracker::QueuedEntry& entry :
+       tracker_.Queued()) {
     const auto gate = not_before_.find(entry.id);
     if (gate != not_before_.end()) {
       if (gate->second > now) continue;
@@ -779,21 +761,15 @@ ServingRuntime::PlanOnce(TimeUs now)
     free_gpus_ &= ~assignment.mask;
 
     const int degree = cluster::Popcount(assignment.mask);
-    const auto first = active_.find(assignment.requests.front());
-    TETRI_CHECK(first != active_.end());
-    const costmodel::Resolution res = first->second.meta.resolution;
+    const costmodel::Resolution res =
+        tracker_.Get(assignment.requests.front()).meta.resolution;
     const int batch = static_cast<int>(assignment.requests.size());
     const TimeUs span_us = util::RoundUsAtLeast(
         table_->StepTimeUs(res, degree, batch) * assignment.max_steps, 1);
 
     for (const RequestId id : assignment.requests) {
-      const auto it = active_.find(id);
-      TETRI_CHECK(it != active_.end());
-      serving::Request& member = it->second;
-      AuditTransition(id, serving::RequestState::kQueued,
-                      serving::RequestState::kRunning, now);
-      member.state = serving::RequestState::kRunning;
-      queued_.Erase(member);
+      serving::Request& member = tracker_.Get(id);
+      tracker_.Transition(member, serving::RequestState::kRunning, now);
       member.last_mask = assignment.mask;
       member.last_degree = degree;
       member.degree_step_sum +=
@@ -841,9 +817,7 @@ ServingRuntime::PlanOnce(TimeUs now)
 void
 ServingRuntime::FinishRequest(serving::Request& request, TimeUs now)
 {
-  AuditTransition(request.meta.id, request.state,
-                  serving::RequestState::kFinished, now);
-  request.state = serving::RequestState::kFinished;
+  tracker_.Transition(request, serving::RequestState::kFinished, now);
   request.completion_us = now;
   if (options_.trace != nullptr) {
     trace::TraceEvent ev;
@@ -853,17 +827,15 @@ ServingRuntime::FinishRequest(serving::Request& request, TimeUs now)
     ev.value = static_cast<double>(now);
     options_.trace->OnEvent(ev);
   }
-  RemoveRequest(request.meta.id, metrics::Outcome::kCompleted,
-                metrics::DropReason::kNone, now, /*count_failed=*/false);
+  RetireRequest(request, metrics::Outcome::kCompleted, now,
+                /*count_failed=*/false);
 }
 
 void
 ServingRuntime::DropRequest(serving::Request& request, TimeUs now,
                             metrics::DropReason reason, bool count_failed)
 {
-  AuditTransition(request.meta.id, request.state,
-                  serving::RequestState::kDropped, now);
-  request.state = serving::RequestState::kDropped;
+  tracker_.Transition(request, serving::RequestState::kDropped, now);
   request.drop_reason = reason;
   if (options_.trace != nullptr) {
     trace::TraceEvent ev;
@@ -884,36 +856,34 @@ ServingRuntime::DropRequest(serving::Request& request, TimeUs now,
     ev.value = static_cast<double>(request.meta.deadline_us);
     options_.trace->OnEvent(ev);
   }
-  RemoveRequest(request.meta.id, metrics::Outcome::kDropped, reason, now,
-                count_failed);
+  RetireRequest(request, metrics::Outcome::kDropped, now, count_failed);
 }
 
 void
-ServingRuntime::RemoveRequest(RequestId id, metrics::Outcome outcome,
-                              metrics::DropReason reason, TimeUs now,
+ServingRuntime::RetireRequest(const serving::Request& request,
+                              metrics::Outcome outcome, TimeUs now,
                               bool count_failed)
 {
-  const auto it = active_.find(id);
-  if (it == active_.end()) return;
-  queued_.Erase(it->second);
-  const TenantId tenant = it->second.meta.tenant;
+  const bool completed = outcome == metrics::Outcome::kCompleted;
+  const RequestId id = request.meta.id;
+  const TenantId tenant = request.meta.tenant;
   if (options_.on_complete) {
     Completion completion;
     completion.id = id;
     completion.tenant = tenant;
     completion.outcome = outcome;
-    completion.drop_reason = reason;
-    completion.admitted_us = it->second.meta.arrival_us;
+    completion.drop_reason = request.drop_reason;
+    completion.admitted_us = request.meta.arrival_us;
     completion.finished_us = now;
-    completion.steps_done = it->second.steps_done;
+    completion.steps_done = request.steps_done;
     options_.on_complete(completion);
   }
   not_before_.erase(id);
-  active_.erase(it);
+  tracker_.Retire(request);
   {
     const util::MutexLock lock(tenant_mu_);
     TenantAgg& agg = tenant_agg_[tenant];
-    if (outcome == metrics::Outcome::kCompleted) {
+    if (completed) {
       ++agg.completed;
     } else if (count_failed) {
       ++agg.failed;
@@ -922,25 +892,14 @@ ServingRuntime::RemoveRequest(RequestId id, metrics::Outcome outcome,
     }
   }
   const util::MutexLock lock(stats_mu_);
-  if (outcome == metrics::Outcome::kCompleted) {
+  if (completed) {
     ++stats_.completed;
-  } else if (outcome == metrics::Outcome::kDropped) {
-    if (count_failed) {
-      ++stats_.failed;
-    } else {
-      ++stats_.dropped;
-    }
+  } else if (count_failed) {
+    ++stats_.failed;
+  } else {
+    ++stats_.dropped;
   }
-  stats_.active = active_.size();
-}
-
-void
-ServingRuntime::AuditTransition(RequestId id, serving::RequestState from,
-                                serving::RequestState to, TimeUs now)
-{
-  if (options_.audit == nullptr) return;
-  options_.audit->OnRequestTransition(id, static_cast<int>(from),
-                                      static_cast<int>(to), now);
+  stats_.active = static_cast<std::uint64_t>(tracker_.NumActive());
 }
 
 }  // namespace tetri::runtime

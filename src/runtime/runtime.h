@@ -13,9 +13,11 @@
  *                         ^
  *   watchdog thread ------+  (crash/hang requeues, worker respawn)
  *
- * Exactly one planner thread owns all scheduling state (request
- * store, free-GPU mask, the Scheduler itself), so TetriScheduler's
- * single-threaded PlanScratch fast path runs unchanged and unlocked.
+ * Exactly one planner thread owns all scheduling state (the
+ * serving::RequestTracker, free-GPU mask, the Scheduler itself), so
+ * TetriScheduler's single-threaded PlanScratch fast path runs
+ * unchanged and unlocked, and every request transition goes through
+ * the same RequestTracker::Transition as in the simulator.
  * Each planner round: drain completions, drain admissions fairly
  * across tenants, apply the feasibility gate and drop policy to ONE
  * schedulable snapshot, invoke Scheduler::Plan on the survivors
@@ -28,7 +30,7 @@
  * The planner blocks on its CondVar whenever it has nothing timed to
  * do; Submit and every completion signal it. The only *timed* waits
  * are the drop-deadline and retry-backoff timers, computed from the
- * planner's own request store — there is no poll interval.
+ * tracker's queued list — there is no poll interval.
  *
  * Failure model (DESIGN.md §14): every dispatched task is entered in
  * an in-flight registry keyed by its dispatch sequence number. A
@@ -80,8 +82,8 @@
 #include "runtime/admission_queue.h"
 #include "runtime/fair_queue.h"
 #include "runtime/runtime_chaos.h"
-#include "serving/queued_list.h"
 #include "serving/request.h"
+#include "serving/request_tracker.h"
 #include "serving/scheduler.h"
 #include "trace/sink.h"
 #include "util/mutex.h"
@@ -365,11 +367,10 @@ class ServingRuntime {
   void FinishRequest(serving::Request& request, TimeUs now);
   void DropRequest(serving::Request& request, TimeUs now,
                    metrics::DropReason reason, bool count_failed = false);
-  void RemoveRequest(RequestId id, metrics::Outcome outcome,
-                     metrics::DropReason reason, TimeUs now,
+  /** Report a request that just turned terminal, then retire it. */
+  void RetireRequest(const serving::Request& request,
+                     metrics::Outcome outcome, TimeUs now,
                      bool count_failed);
-  void AuditTransition(RequestId id, serving::RequestState from,
-                       serving::RequestState to, TimeUs now);
   /** Tenant queue-delay histogram, created on first use. */
   metrics::SharedHistogram& TenantDelayHistogram(TenantId tenant);
 
@@ -438,16 +439,13 @@ class ServingRuntime {
   std::atomic<bool> planner_waiting_{false};
 
   // --- planner-thread-only scheduling state ---
-  /** Active requests; node-based map so Request* stays stable for
-   * ScheduleContext::schedulable. Terminal requests are erased, so the
-   * store holds the working set, not everything ever admitted. */
-  std::unordered_map<RequestId, serving::Request> active_;
+  /** Admitted, not yet terminal requests. Each is retired at its
+   * terminal transition, so the store holds the live set, not
+   * everything ever admitted; a planner tick only filters the
+   * tracker's queued list into `snapshot_`. */
+  serving::RequestTracker tracker_;
   /** Retry-backoff gates: request not plannable before this time. */
   std::unordered_map<RequestId, TimeUs> not_before_;
-  /** All kQueued requests in (deadline, id) order, updated at every
-   * state transition; a planner tick only filters it into
-   * `snapshot_`. */
-  serving::QueuedList queued_;
   /** GPUs not executing anything (planner's view). */
   GpuMask free_gpus_ = 0;
   std::vector<workload::TraceRequest> pending_;

@@ -21,6 +21,7 @@
 #include "baselines/edf.h"
 #include "baselines/fixed_sp.h"
 #include "baselines/rssp.h"
+#include "cluster/gpu_set.h"
 #include "core/tetri_scheduler.h"
 #include "serving/system.h"
 #include "trace/perfetto.h"
@@ -192,8 +193,18 @@ MakePolicy(const Options& opts, const serving::ServingSystem& system)
                                                   tetri);
   }
   if (opts.policy.rfind("sp", 0) == 0) {
-    return std::make_unique<baselines::FixedSpScheduler>(
-        std::atoi(opts.policy.c_str() + 2));
+    const std::string digits = opts.policy.substr(2);
+    const int num_gpus = system.topology().num_gpus();
+    const int degree =
+        !digits.empty() && digits.size() <= 3 &&
+                digits.find_first_not_of("0123456789") == std::string::npos
+            ? std::stoi(digits)
+            : 0;
+    if (degree < 1 || degree > num_gpus || !cluster::IsPow2(degree)) {
+      TETRI_FATAL("policy '" << opts.policy << "' needs a power-of-two "
+                  "SP degree in [1, " << num_gpus << "] on this topology");
+    }
+    return std::make_unique<baselines::FixedSpScheduler>(degree);
   }
   if (opts.policy == "rssp") {
     return std::make_unique<baselines::RsspScheduler>(&system.table());

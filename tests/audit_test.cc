@@ -417,7 +417,7 @@ TEST(AuditNegativeTest, HealthCheckerFlagsBogusFailureProtocol)
 TEST(AuditNegativeTest, ConservationCheckerFlagsSilentlyLostRequest)
 {
   Auditor auditor;
-  auditor.AddChecker(std::make_unique<RequestConservationChecker>());
+  auditor.AddChecker(std::make_unique<RuntimeConservationChecker>());
   auditor.OnRequestAdmitted(1, 0, 1000, 20);
   auditor.OnRequestAdmitted(2, 0, 1000, 20);
   auditor.OnRequestAdmitted(3, 0, 1000, 20);
@@ -442,7 +442,7 @@ TEST(AuditNegativeTest, ConservationCheckerFlagsSilentlyLostRequest)
 TEST(AuditNegativeTest, ConservationCheckerAcceptsCleanRun)
 {
   Auditor auditor;
-  auditor.AddChecker(std::make_unique<RequestConservationChecker>());
+  auditor.AddChecker(std::make_unique<RuntimeConservationChecker>());
   auditor.OnRequestAdmitted(7, 0, 1000, 20);
   auditor.OnRequestTransition(
       7, static_cast<int>(serving::RequestState::kQueued),

@@ -209,6 +209,10 @@ TEST(RuntimeChaosDrainTest, ConservationCheckerStaysClean)
   auto& checker = static_cast<audit::RuntimeConservationChecker&>(
       auditor.AddChecker(
           std::make_unique<audit::RuntimeConservationChecker>()));
+  // Every runtime transition goes through RequestTracker::Transition,
+  // so the legal state machine (Queued->Running->{Queued,Finished},
+  // Queued->Dropped) is checked under chaos too.
+  auditor.AddChecker(std::make_unique<audit::RequestLifecycleChecker>());
   const RuntimeStats stats = RunChaosWorkload(3, 48, &auditor);
   EXPECT_TRUE(auditor.clean()) << auditor.Summary();
   EXPECT_EQ(checker.admitted(), stats.admission.admitted);

@@ -254,6 +254,11 @@ TEST(RuntimeServingTest, ChaosAbortRequeuesAndRetries)
   options.chaos_should_abort = [&](const serving::Assignment&) {
     return aborts_left.fetch_sub(1) > 0;
   };
+  // One request may take all three aborts: if the producer is
+  // descheduled after its first Submit, the planner dispatches that
+  // request alone, three times over. A retry budget of three covers
+  // that legal interleaving, so every request must still complete.
+  options.retry.max_retries = 3;
   std::atomic<int> completed{0};
   options.on_complete = [&](const Completion& c) {
     if (c.outcome == metrics::Outcome::kCompleted) completed.fetch_add(1);
@@ -272,6 +277,31 @@ TEST(RuntimeServingTest, ChaosAbortRequeuesAndRetries)
   EXPECT_GT(stats.requeues, 0u);
   EXPECT_EQ(completed.load(), kRequests);
   EXPECT_EQ(stats.completed, kRequests);
+}
+
+TEST(RuntimeServingTest, BackoffThatExpiresBetweenRoundsWakesPlanner)
+{
+  // A round interval far longer than the retry backoff makes the gate
+  // expire while the planner sleeps after the round that skipped the
+  // request. Nothing else is in flight to wake the planner, so its
+  // next wait must end at once, not at the drop deadline 10 x 500 ms
+  // away (where the request would time out unserved).
+  core::TetriScheduler scheduler(&F().table);
+  RuntimeOptions options;
+  options.round_interval_us = 2000.0;
+  options.backoff_base_us = 100.0;
+  std::atomic<int> aborts_left{1};
+  options.chaos_should_abort = [&](const serving::Assignment&) {
+    return aborts_left.fetch_sub(1) > 0;
+  };
+  ServingRuntime runtime(&scheduler, &F().topo, &F().table, options);
+  EXPECT_EQ(runtime.Submit(Resolution::k256, 2, 500'000),
+            AdmitOutcome::kAdmitted);
+  runtime.Drain();
+  const RuntimeStats stats = runtime.stats();
+  EXPECT_EQ(stats.aborted_assignments, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.dropped + stats.failed, 0u);
 }
 
 TEST(RuntimeServingTest, TraceEventsCoverTheLifecycle)

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/fixed_sp.h"
@@ -73,11 +74,12 @@ TEST(RequestTrackerTest, RunningRequestsNotSchedulable)
 
 /**
  * The carried queued list against the scan-and-sort it replaced: seeded
- * admit / dispatch / requeue / finish / drop / cancel churn through
- * Transition, with Schedulable(now) and NumActive() checked against
- * the oracle after every step. Admissions far outnumber the first
- * store allocation, so a queued entry left dangling by store growth
- * shows up as a pointer mismatch.
+ * admit / dispatch / requeue / finish / drop / cancel / retire churn
+ * through Transition and Retire, with Schedulable(now), NumActive()
+ * and Contains() checked against the oracle after every step. Live
+ * requests must keep their address while retired slots are reused.
+ * Admissions far outnumber the first store allocation, so a queued
+ * entry left dangling by store growth shows up as a pointer mismatch.
  */
 TEST(RequestTrackerTest, CarriedQueuedListMatchesScanAndSort)
 {
@@ -85,22 +87,26 @@ TEST(RequestTrackerTest, CarriedQueuedListMatchesScanAndSort)
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     RequestTracker tracker;
-    std::vector<RequestId> ids;
+    /** Live (not retired) requests and the address each was admitted
+     * at; retired ids must be unknown to the tracker. */
+    std::vector<std::pair<RequestId, const Request*>> live;
+    std::vector<RequestId> retired;
+    RequestId next_id = 0;
     TimeUs now = 0;
     for (int step = 0; step < 3000; ++step) {
       now += static_cast<TimeUs>(rng.NextBelow(40));
-      if (ids.empty() || rng.NextBelow(3) == 0) {
+      if (live.empty() || rng.NextBelow(3) == 0) {
         // Arrivals up to 100 us ahead exercise the Arrived filter; a
         // narrow deadline range forces (deadline, id) ties.
-        const auto id = static_cast<RequestId>(ids.size());
+        const RequestId id = next_id++;
         const TimeUs arrival = now + static_cast<TimeUs>(rng.NextBelow(100));
-        tracker.Admit(MakeRequest(
+        const Request& admitted = tracker.Admit(MakeRequest(
             id, Resolution::k256, arrival,
             arrival + 1 + static_cast<TimeUs>(rng.NextBelow(50))));
-        ids.push_back(id);
+        live.emplace_back(id, &admitted);
       } else {
-        Request& req = tracker.Get(
-            ids[static_cast<std::size_t>(rng.NextBelow(ids.size()))]);
+        const auto pos = static_cast<std::size_t>(rng.NextBelow(live.size()));
+        Request& req = tracker.Get(live[pos].first);
         const std::uint64_t pick = rng.NextBelow(4);
         if (req.state == RequestState::kQueued) {
           const RequestState to[] = {RequestState::kRunning,
@@ -113,17 +119,27 @@ TEST(RequestTrackerTest, CarriedQueuedListMatchesScanAndSort)
               RequestState::kQueued, RequestState::kFinished,
               RequestState::kDropped, RequestState::kCancelled};
           tracker.Transition(req, to[pick], now);
+        } else {
+          tracker.Retire(req);
+          retired.push_back(live[pos].first);
+          live[pos] = live.back();
+          live.pop_back();
         }
       }
 
       std::vector<Request*> oracle;
       int active = 0;
-      for (const RequestId id : ids) {
+      for (const auto& [id, address] : live) {
+        ASSERT_TRUE(tracker.Contains(id)) << "step " << step;
         Request& req = tracker.Get(id);
+        ASSERT_EQ(&req, address) << "step " << step;
         if (req.Active()) ++active;
         if (req.state == RequestState::kQueued && req.Arrived(now)) {
           oracle.push_back(&req);
         }
+      }
+      for (const RequestId id : retired) {
+        ASSERT_FALSE(tracker.Contains(id)) << "step " << step;
       }
       std::sort(oracle.begin(), oracle.end(),
                 [](const Request* a, const Request* b) {
@@ -135,6 +151,7 @@ TEST(RequestTrackerTest, CarriedQueuedListMatchesScanAndSort)
       ASSERT_EQ(tracker.Schedulable(now), oracle) << "step " << step;
       ASSERT_EQ(tracker.NumActive(), active) << "step " << step;
     }
+    EXPECT_FALSE(retired.empty());
   }
 }
 
@@ -144,6 +161,15 @@ TEST(RequestTrackerDeathTest, DuplicateIdPanics)
   tracker.Admit(MakeRequest(1, Resolution::k256, 0, 1000));
   EXPECT_DEATH(tracker.Admit(MakeRequest(1, Resolution::k256, 0, 1000)),
                "duplicate");
+}
+
+TEST(RequestTrackerDeathTest, RetiringActiveRequestPanics)
+{
+  RequestTracker tracker;
+  Request& req = tracker.Admit(MakeRequest(1, Resolution::k256, 0, 1000));
+  EXPECT_DEATH(tracker.Retire(req), "cannot retire active request 1");
+  tracker.Transition(req, RequestState::kRunning, 5);
+  EXPECT_DEATH(tracker.Retire(req), "cannot retire active request 1");
 }
 
 class LatentManagerTest : public ::testing::Test {

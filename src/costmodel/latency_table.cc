@@ -1,5 +1,6 @@
 #include "costmodel/latency_table.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <sstream>
@@ -8,6 +9,29 @@
 #include "util/stats.h"
 
 namespace tetri::costmodel {
+
+namespace {
+
+/**
+ * Mean and CV of @p samples draws of one cell. Each draw is exactly
+ * StepCostModel::SampleStepTimeUs, with the cell's deterministic mean
+ * and jitter CV computed once instead of once per draw, so the
+ * profile stays bit-identical to sampling through that function.
+ */
+LatencyCell
+ProfileCell(const StepCostModel& cost, Resolution res, int degree,
+            int batch, int samples, Rng& rng)
+{
+  const double mean = cost.StepTimeUs(res, degree, batch);
+  const double cv = cost.JitterCv(res, degree);
+  RunningStat stat;
+  for (int s = 0; s < samples; ++s) {
+    stat.Add(mean * std::max(0.5, rng.NextGaussian(1.0, cv)));
+  }
+  return LatencyCell{stat.mean(), stat.Cv()};
+}
+
+}  // namespace
 
 LatencyTable
 LatencyTable::Profile(const StepCostModel& cost, int max_batch,
@@ -33,11 +57,7 @@ LatencyTable::Profile(const StepCostModel& cost, int max_batch,
       auto& by_batch = by_degree[di];
       by_batch.resize(max_batch);
       for (int bs = 1; bs <= max_batch; ++bs) {
-        RunningStat stat;
-        for (int s = 0; s < samples; ++s) {
-          stat.Add(cost.SampleStepTimeUs(res, degree, bs, rng));
-        }
-        by_batch[bs - 1] = LatencyCell{stat.mean(), stat.Cv()};
+        by_batch[bs - 1] = ProfileCell(cost, res, degree, bs, samples, rng);
       }
     }
   }
@@ -58,11 +78,8 @@ LatencyTable::Profile(const StepCostModel& cost, int max_batch,
         auto& by_batch = by_degree[degree];
         by_batch.resize(max_batch);
         for (int bs = 1; bs <= max_batch; ++bs) {
-          RunningStat stat;
-          for (int s = 0; s < samples; ++s) {
-            stat.Add(cost.SampleStepTimeUs(res, degree, bs, ext_rng));
-          }
-          by_batch[bs - 1] = LatencyCell{stat.mean(), stat.Cv()};
+          by_batch[bs - 1] =
+              ProfileCell(cost, res, degree, bs, samples, ext_rng);
         }
       }
     }

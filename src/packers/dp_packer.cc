@@ -108,20 +108,19 @@ PackRoundInto(const PackGroup* groups, int num_groups, int capacity,
       par_c[c] = -1;
     }
     const int idle_bonus = group.survives_if_idle ? 1 : 0;
+    // Option `none` fills every reachable cell first, so an allocation
+    // of this group must strictly beat it to take the cell: on a tie
+    // the GPUs stay with the earlier groups (see PackRound).
     for (int c = 0; c < row; ++c) {
       if (cur_sv[c] < 0) continue;
-      // Option `none`.
-      {
-        const int cand_sv = cur_sv[c] + idle_bonus;
-        if (PackValueBetter(cand_sv, cur_wk[c], cur_wd[c], nxt_sv[c],
-                            nxt_wk[c], nxt_wd[c])) {
-          nxt_sv[c] = cand_sv;
-          nxt_wk[c] = cur_wk[c];
-          nxt_wd[c] = cur_wd[c];
-          par[c] = -1;
-          par_c[c] = c;
-        }
-      }
+      nxt_sv[c] = cur_sv[c] + idle_bonus;
+      nxt_wk[c] = cur_wk[c];
+      nxt_wd[c] = cur_wd[c];
+      par[c] = -1;
+      par_c[c] = c;
+    }
+    for (int c = 0; c < row; ++c) {
+      if (cur_sv[c] < 0) continue;
       // Concrete allocations.
       for (int oi = 0; oi < static_cast<int>(group.options.size());
            ++oi) {
@@ -213,18 +212,16 @@ PackRoundReference(const std::vector<PackGroup>& groups, int capacity)
   dp[0][0] = Value{0, 0, 0};
   for (int i = 0; i < num_groups; ++i) {
     const PackGroup& group = groups[i];
+    // Option `none` first: an allocation must strictly beat it.
     for (int c = 0; c <= capacity; ++c) {
       if (!dp[i][c].Reachable()) continue;
-      // Option `none`.
-      {
-        Value candidate = dp[i][c];
-        candidate.survivors += group.survives_if_idle ? 1 : 0;
-        if (candidate.BetterThan(dp[i + 1][c])) {
-          dp[i + 1][c] = candidate;
-          parent[i + 1][c] = -1;
-          parent_c[i + 1][c] = c;
-        }
-      }
+      dp[i + 1][c] = dp[i][c];
+      dp[i + 1][c].survivors += group.survives_if_idle ? 1 : 0;
+      parent[i + 1][c] = -1;
+      parent_c[i + 1][c] = c;
+    }
+    for (int c = 0; c <= capacity; ++c) {
+      if (!dp[i][c].Reachable()) continue;
       // Concrete allocations.
       for (int oi = 0; oi < static_cast<int>(group.options.size());
            ++oi) {

@@ -96,6 +96,11 @@ struct PackScratch {
 /**
  * Solve the per-round group knapsack over @p capacity GPUs.
  * O(R * capacity * max|options|) time, O(R * capacity) space.
+ * Packings that tie under PackValueBetter go to the earlier groups: an
+ * allocation displaces an earlier group's only when strictly better.
+ * TetriScheduler builds its groups in queued (deadline, id) order, so
+ * among equal-valued requests the earlier deadline runs, and a stream
+ * of later equals cannot starve it.
  * The overload taking a PackScratch reuses its buffers across calls
  * (the TetriScheduler hot path); the two-argument form allocates a
  * local scratch. Both return identical results.

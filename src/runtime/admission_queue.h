@@ -1,33 +1,14 @@
 /**
  * @file
- * Bounded MPSC admission queue — the serving runtime's front door.
- *
- * Any number of client threads Push; exactly one consumer (the planner
- * thread) drains. The queue is bounded so overload surfaces at the
- * front door instead of as unbounded memory growth: when full, a Push
- * either blocks until the planner drains (kBlock, backpressure) or is
- * refused immediately (kShed, load shedding). Closing the queue makes
- * every later Push return kClosed — the first step of the graceful
- * drain protocol (runtime.h).
- *
- * The consumer drains by swapping the whole buffer out under the lock,
- * so the planner's per-round critical section is O(1) regardless of
- * how many submissions queued up; FIFO order is preserved because
- * producers append and the drain takes everything.
+ * Front-door vocabulary of the serving runtime: what happened to one
+ * submission (AdmitOutcome), what a full queue does (OverflowPolicy),
+ * and the counters of both. The queue itself is FairAdmissionQueue
+ * (runtime/fair_queue.h).
  */
 #ifndef TETRI_RUNTIME_ADMISSION_QUEUE_H
 #define TETRI_RUNTIME_ADMISSION_QUEUE_H
 
-#include <cstddef>
 #include <cstdint>
-#include <iterator>
-#include <utility>
-#include <vector>
-
-#include "util/check.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-#include "workload/trace.h"
 
 namespace tetri::runtime {
 
@@ -51,140 +32,6 @@ struct AdmissionCounters {
   std::uint64_t admitted = 0;
   std::uint64_t shed = 0;
   std::uint64_t rejected_closed = 0;
-};
-
-/** Bounded multi-producer single-consumer submission buffer. */
-class AdmissionQueue {
- public:
-  AdmissionQueue(std::size_t capacity, OverflowPolicy policy)
-      : capacity_(capacity), policy_(policy)
-  {
-    TETRI_CHECK(capacity_ > 0);
-  }
-
-  AdmissionQueue(const AdmissionQueue&) = delete;
-  AdmissionQueue& operator=(const AdmissionQueue&) = delete;
-
-  /**
-   * Producer side: enqueue @p request. Under kBlock this waits for
-   * space (or for Close, which wins and returns kClosed); under kShed
-   * a full queue refuses immediately.
-   */
-  AdmitOutcome Push(workload::TraceRequest request) {
-    const util::MutexLock lock(mu_);
-    while (!closed_ && items_.size() >= capacity_) {
-      if (policy_ == OverflowPolicy::kShed) {
-        ++counters_.shed;
-        return AdmitOutcome::kShed;
-      }
-      not_full_.Wait(mu_);
-    }
-    if (closed_) {
-      ++counters_.rejected_closed;
-      return AdmitOutcome::kClosed;
-    }
-    items_.push_back(std::move(request));
-    ++counters_.admitted;
-    not_empty_.Signal();
-    return AdmitOutcome::kAdmitted;
-  }
-
-  /**
-   * Producer side, never blocks: enqueue @p request if there is room,
-   * shed it otherwise — regardless of the queue's overflow policy.
-   * Lets latency-critical producers opt out of backpressure on a
-   * kBlock queue.
-   */
-  AdmitOutcome TryPush(workload::TraceRequest request) {
-    const util::MutexLock lock(mu_);
-    if (closed_) {
-      ++counters_.rejected_closed;
-      return AdmitOutcome::kClosed;
-    }
-    if (items_.size() >= capacity_) {
-      ++counters_.shed;
-      return AdmitOutcome::kShed;
-    }
-    items_.push_back(std::move(request));
-    ++counters_.admitted;
-    not_empty_.Signal();
-    return AdmitOutcome::kAdmitted;
-  }
-
-  /**
-   * Consumer side: move every queued submission into @p out (appended,
-   * FIFO) without blocking. Returns the number taken. Draining frees
-   * the whole capacity at once, so every blocked producer is released.
-   */
-  std::size_t TryDrain(std::vector<workload::TraceRequest>* out) {
-    const util::MutexLock lock(mu_);
-    return DrainLocked(out);
-  }
-
-  /**
-   * Consumer side: block until at least one submission or Close, then
-   * drain as TryDrain. Returns 0 only when closed and empty — the
-   * consumer's signal that the front door has shut for good.
-   */
-  std::size_t WaitDrain(std::vector<workload::TraceRequest>* out) {
-    const util::MutexLock lock(mu_);
-    while (items_.empty() && !closed_) not_empty_.Wait(mu_);
-    return DrainLocked(out);
-  }
-
-  /**
-   * Shut the front door: every later Push returns kClosed and blocked
-   * producers wake with kClosed. Queued submissions stay drainable —
-   * Close refuses new work, it never discards accepted work.
-   */
-  void Close() {
-    const util::MutexLock lock(mu_);
-    closed_ = true;
-    not_full_.SignalAll();
-    not_empty_.SignalAll();
-  }
-
-  bool closed() const {
-    const util::MutexLock lock(mu_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    const util::MutexLock lock(mu_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  OverflowPolicy policy() const { return policy_; }
-
-  /** Snapshot of the front-door counters. */
-  AdmissionCounters counters() const {
-    const util::MutexLock lock(mu_);
-    return counters_;
-  }
-
- private:
-  std::size_t DrainLocked(std::vector<workload::TraceRequest>* out)
-      TETRI_REQUIRES(mu_) {
-    const std::size_t n = items_.size();
-    if (n > 0) {
-      out->insert(out->end(),
-                  std::make_move_iterator(items_.begin()),
-                  std::make_move_iterator(items_.end()));
-      items_.clear();
-      not_full_.SignalAll();
-    }
-    return n;
-  }
-
-  const std::size_t capacity_;
-  const OverflowPolicy policy_;
-  mutable util::Mutex mu_;
-  util::CondVar not_empty_;
-  util::CondVar not_full_;
-  std::vector<workload::TraceRequest> items_ TETRI_GUARDED_BY(mu_);
-  bool closed_ TETRI_GUARDED_BY(mu_) = false;
-  AdmissionCounters counters_ TETRI_GUARDED_BY(mu_);
 };
 
 }  // namespace tetri::runtime

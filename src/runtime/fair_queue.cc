@@ -55,7 +55,6 @@ AdmitOutcome FairAdmissionQueue::Push(workload::TraceRequest request) {
   queues_[slot].items.push_back(std::move(request));
   ++queues_[slot].counters.admitted;
   ++total_size_;
-  not_empty_.Signal();
   return AdmitOutcome::kAdmitted;
 }
 
@@ -73,7 +72,6 @@ AdmitOutcome FairAdmissionQueue::TryPush(workload::TraceRequest request) {
   queues_[slot].items.push_back(std::move(request));
   ++queues_[slot].counters.admitted;
   ++total_size_;
-  not_empty_.Signal();
   return AdmitOutcome::kAdmitted;
 }
 
@@ -109,28 +107,28 @@ std::size_t FairAdmissionQueue::DrainFairLocked(
     if (!progressed) break;
   }
   if (n > 0) cursor_ = (cursor_ + 1) % n;
-  if (taken > 0) not_full_.SignalAll();
   return taken;
 }
 
 std::size_t FairAdmissionQueue::DrainFair(
     std::size_t max_items, std::vector<workload::TraceRequest>* out) {
-  const util::MutexLock lock(mu_);
-  return DrainFairLocked(max_items, out);
-}
-
-std::size_t FairAdmissionQueue::WaitDrainFair(
-    std::size_t max_items, std::vector<workload::TraceRequest>* out) {
-  const util::MutexLock lock(mu_);
-  while (total_size_ == 0 && !closed_) not_empty_.Wait(mu_);
-  return DrainFairLocked(max_items, out);
+  std::size_t taken = 0;
+  {
+    const util::MutexLock lock(mu_);
+    taken = DrainFairLocked(max_items, out);
+  }
+  // Draining freed room: wake blocked producers after unlock, so none
+  // of them blocks at once on mu_.
+  if (taken > 0) not_full_.SignalAll();
+  return taken;
 }
 
 void FairAdmissionQueue::Close() {
-  const util::MutexLock lock(mu_);
-  closed_ = true;
+  {
+    const util::MutexLock lock(mu_);
+    closed_ = true;
+  }
   not_full_.SignalAll();
-  not_empty_.SignalAll();
 }
 
 bool FairAdmissionQueue::closed() const {

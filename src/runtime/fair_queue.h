@@ -1,20 +1,30 @@
 /**
  * @file
- * Per-tenant weighted-fair admission queue.
+ * Per-tenant weighted-fair admission queue — the serving runtime's
+ * front door.
  *
- * The plain AdmissionQueue is a single FIFO: one producer flooding the
- * front door starves everyone behind it. FairAdmissionQueue splits the
- * buffer into per-tenant sub-queues, each with its own capacity, and
- * drains them by weighted deficit round-robin (DRR): every drain cycle
- * credits each backlogged tenant `weight` units of deficit and dequeues
- * one request per unit, so over any window the drained mix converges to
- * the weight ratio regardless of offered load. Overflow is charged to
- * the tenant that caused it — a flooding tenant sheds (or blocks) only
- * itself, never its neighbours.
+ * Any number of client threads Push; exactly one consumer (the planner
+ * thread) drains. The queue is bounded so overload surfaces at the
+ * front door instead of as unbounded memory growth: when a tenant's
+ * sub-queue is full, a Push either blocks until the planner drains
+ * (kBlock, backpressure) or is refused immediately (kShed, load
+ * shedding). Closing the queue makes every later Push return kClosed —
+ * the first step of the graceful drain protocol (runtime.h) — while
+ * queued work stays drainable, so Close never discards accepted work.
  *
- * Concurrency contract matches AdmissionQueue: any number of producers
- * Push/TryPush; exactly one consumer drains; Close is lossless (queued
- * work stays drainable, later pushes are refused).
+ * A single FIFO would let one producer flooding the front door starve
+ * everyone behind it. FairAdmissionQueue therefore splits the buffer
+ * into per-tenant sub-queues, each with its own capacity, and drains
+ * them by weighted deficit round-robin (DRR): every drain cycle
+ * credits each backlogged tenant `weight` units of deficit and
+ * dequeues one request per unit, so over any window the drained mix
+ * converges to the weight ratio regardless of offered load. Overflow
+ * is charged to the tenant that caused it — a flooding tenant sheds
+ * (or blocks) only itself, never its neighbours.
+ *
+ * The consumer never blocks here: the planner learns of new work from
+ * its own wake channel (ServingRuntime::Submit signals it), so the
+ * queue keeps no not-empty CondVar.
  */
 #ifndef TETRI_RUNTIME_FAIR_QUEUE_H
 #define TETRI_RUNTIME_FAIR_QUEUE_H
@@ -53,9 +63,9 @@ class FairAdmissionQueue {
  public:
   /**
    * @p per_tenant_capacity bounds each sub-queue independently, so a
-   * single-tenant configuration behaves exactly like an
-   * AdmissionQueue of that capacity. Tenants not in @p tenants are
-   * registered on first Push with weight 1.
+   * single-tenant configuration is one bounded FIFO of that capacity.
+   * Tenants not in @p tenants are registered on first Push with
+   * weight 1.
    */
   FairAdmissionQueue(std::size_t per_tenant_capacity,
                      OverflowPolicy policy,
@@ -88,13 +98,6 @@ class FairAdmissionQueue {
   std::size_t DrainFair(std::size_t max_items,
                         std::vector<workload::TraceRequest>* out);
 
-  /**
-   * Consumer side: block until at least one request or Close, then
-   * drain as DrainFair. Returns 0 only when closed and fully empty.
-   */
-  std::size_t WaitDrainFair(std::size_t max_items,
-                            std::vector<workload::TraceRequest>* out);
-
   /** Shut the front door; queued requests stay drainable. */
   void Close();
 
@@ -108,7 +111,7 @@ class FairAdmissionQueue {
   std::vector<TenantId> tenant_ids() const;
   /** Counters for one tenant (zeros if unknown). */
   TenantCounters tenant_counters(TenantId id) const;
-  /** Aggregate counters across tenants (AdmissionQueue-compatible). */
+  /** Aggregate counters across tenants. */
   AdmissionCounters counters() const;
 
  private:
@@ -122,6 +125,8 @@ class FairAdmissionQueue {
 
   /** Index of @p id's sub-queue, registering it if unseen. */
   std::size_t SlotFor(TenantId id) TETRI_REQUIRES(mu_);
+  /** Dequeue as DrainFair; returns the count so the caller can wake
+   * blocked producers after releasing mu_. */
   std::size_t DrainFairLocked(std::size_t max_items,
                               std::vector<workload::TraceRequest>* out)
       TETRI_REQUIRES(mu_);
@@ -129,7 +134,6 @@ class FairAdmissionQueue {
   const std::size_t capacity_;
   const OverflowPolicy policy_;
   mutable util::Mutex mu_;
-  util::CondVar not_empty_;
   util::CondVar not_full_;
   std::vector<SubQueue> queues_ TETRI_GUARDED_BY(mu_);
   std::unordered_map<TenantId, std::size_t> slots_ TETRI_GUARDED_BY(mu_);

@@ -71,23 +71,8 @@ AdmitOutcome
 ServingRuntime::Submit(TenantId tenant, costmodel::Resolution resolution,
                        int num_steps, TimeUs budget_us, RequestId* out_id)
 {
-  TETRI_CHECK(num_steps > 0);
-  workload::TraceRequest request;
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.arrival_us = NowUs();
-  request.deadline_us = request.arrival_us + budget_us;
-  request.resolution = resolution;
-  request.num_steps = num_steps;
-  request.tenant = tenant;
-  const RequestId id = request.id;
-  const AdmitOutcome outcome = admissions_.Push(std::move(request));
-  if (outcome == AdmitOutcome::kAdmitted) {
-    if (out_id != nullptr) *out_id = id;
-    const util::MutexLock lock(planner_mu_);
-    work_pending_ = true;
-    planner_cv_.Signal();
-  }
-  return outcome;
+  return Enqueue(/*blocking=*/true, tenant, resolution, num_steps,
+                 budget_us, out_id);
 }
 
 AdmitOutcome
@@ -95,6 +80,15 @@ ServingRuntime::TrySubmit(TenantId tenant, costmodel::Resolution resolution,
                           int num_steps, TimeUs budget_us,
                           RequestId* out_id)
 {
+  return Enqueue(/*blocking=*/false, tenant, resolution, num_steps,
+                 budget_us, out_id);
+}
+
+AdmitOutcome
+ServingRuntime::Enqueue(bool blocking, TenantId tenant,
+                        costmodel::Resolution resolution, int num_steps,
+                        TimeUs budget_us, RequestId* out_id)
+{
   TETRI_CHECK(num_steps > 0);
   workload::TraceRequest request;
   request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -104,19 +98,27 @@ ServingRuntime::TrySubmit(TenantId tenant, costmodel::Resolution resolution,
   request.num_steps = num_steps;
   request.tenant = tenant;
   const RequestId id = request.id;
-  const AdmitOutcome outcome = admissions_.TryPush(std::move(request));
-  if (outcome == AdmitOutcome::kAdmitted) {
-    if (out_id != nullptr) *out_id = id;
+  const AdmitOutcome outcome = blocking
+                                   ? admissions_.Push(std::move(request))
+                                   : admissions_.TryPush(std::move(request));
+  if (outcome != AdmitOutcome::kAdmitted) return outcome;
+  if (out_id != nullptr) *out_id = id;
+  {
     const util::MutexLock lock(planner_mu_);
     work_pending_ = true;
-    planner_cv_.Signal();
   }
+  // Wake after unlock: a planner woken under the lock would only block
+  // on planner_mu_ again (DESIGN.md §12).
+  planner_cv_.Signal();
   return outcome;
 }
 
 void
 ServingRuntime::Drain()
 {
+  // drain_lock only serializes Drain callers. No thread that Drain
+  // wakes ever takes drain_mu_, so the signals below that run in its
+  // scope wake nobody into a held mutex and are suppressed.
   const util::MutexLock drain_lock(drain_mu_);
   if (drained_) return;
 
@@ -133,7 +135,10 @@ ServingRuntime::Drain()
   {
     const util::MutexLock lock(planner_mu_);
     draining_ = true;
-    planner_cv_.Signal();
+  }
+  planner_cv_.Signal();  // NOLINT(tetri-signal-under-lock)
+  {
+    const util::MutexLock lock(planner_mu_);
     while (!planner_done_) drained_cv_.Wait(planner_mu_);
   }
 
@@ -144,8 +149,8 @@ ServingRuntime::Drain()
     {
       const util::MutexLock lock(watchdog_mu_);
       watchdog_stop_ = true;
-      watchdog_cv_.SignalAll();
     }
+    watchdog_cv_.SignalAll();  // NOLINT(tetri-signal-under-lock)
     watchdog_.join();
   }
 
@@ -154,8 +159,8 @@ ServingRuntime::Drain()
   {
     const util::MutexLock lock(dispatch_mu_);
     dispatch_closed_ = true;
-    dispatch_cv_.SignalAll();
   }
+  dispatch_cv_.SignalAll();  // NOLINT(tetri-signal-under-lock)
   for (const std::unique_ptr<WorkerSlot>& slot : workers_) {
     if (slot->thread.joinable()) slot->thread.join();
   }
@@ -271,23 +276,30 @@ ServingRuntime::PlannerLoop()
     PlanOnce(NowUs());
 
     if (draining && tracker_.NumActive() == 0) {
-      const util::MutexLock lock(planner_mu_);
-      if (mailbox_.empty()) {
-        // The admission queue is closed (Close() precedes draining_)
-        // and was drained above; the mailbox is empty and nothing is
-        // active, so no event can ever arrive again.
-        const TimeUs now = NowUs();
-        if (options_.trace != nullptr) {
-          trace::TraceEvent ev;
-          ev.kind = trace::TraceEventKind::kRunEnd;
-          ev.time_us = now;
-          options_.trace->OnEvent(ev);
+      bool done = false;
+      {
+        const util::MutexLock lock(planner_mu_);
+        if (mailbox_.empty()) {
+          // The admission queue is closed (Close() precedes draining_)
+          // and was drained above; the mailbox is empty and nothing is
+          // active, so no event can ever arrive again.
+          const TimeUs now = NowUs();
+          if (options_.trace != nullptr) {
+            trace::TraceEvent ev;
+            ev.kind = trace::TraceEventKind::kRunEnd;
+            ev.time_us = now;
+            options_.trace->OnEvent(ev);
+          }
+          if (options_.audit != nullptr) options_.audit->OnRunEnd(now);
+          // Park the heartbeat so the watchdog's stall detector never
+          // fires on the planner's own exit.
+          planner_waiting_.store(true, std::memory_order_relaxed);
+          planner_done_ = true;
+          done = true;
         }
-        if (options_.audit != nullptr) options_.audit->OnRunEnd(now);
-        // Park the heartbeat so the watchdog's stall detector never
-        // fires on the planner's own exit.
-        planner_waiting_.store(true, std::memory_order_relaxed);
-        planner_done_ = true;
+      }
+      if (done) {
+        // Drain joins this thread before drained_cv_ can go away.
         drained_cv_.SignalAll();
         return;
       }
@@ -395,16 +407,12 @@ ServingRuntime::WorkerLoop(int worker)
       options_.trace->OnEvent(ev);
     }
 
-    {
-      const util::MutexLock lock(planner_mu_);
-      CompletionMsg msg;
-      msg.seq = task.seq;
-      msg.assignment = std::move(task.assignment);
-      msg.span_us = task.span_us;
-      msg.aborted = aborted;
-      mailbox_.push_back(std::move(msg));
-      planner_cv_.Signal();
-    }
+    CompletionMsg msg;
+    msg.seq = task.seq;
+    msg.assignment = std::move(task.assignment);
+    msg.span_us = task.span_us;
+    msg.aborted = aborted;
+    PostToPlanner(std::move(msg));
   }
 }
 
@@ -524,8 +532,18 @@ ServingRuntime::PostWatchdogRequeue(std::uint64_t seq,
   msg.span_us = record.span_us;
   msg.aborted = true;
   msg.from_watchdog = true;
-  const util::MutexLock lock(planner_mu_);
-  mailbox_.push_back(std::move(msg));
+  PostToPlanner(std::move(msg));
+}
+
+void
+ServingRuntime::PostToPlanner(CompletionMsg msg)
+{
+  {
+    const util::MutexLock lock(planner_mu_);
+    mailbox_.push_back(std::move(msg));
+  }
+  // Every poster is joined before the runtime is destroyed, so the
+  // CondVar outlives this signal (DESIGN.md §12, wake after unlock).
   planner_cv_.Signal();
 }
 
@@ -801,9 +819,11 @@ ServingRuntime::PlanOnce(TimeUs now)
 
   const std::size_t dispatched = tasks.size();
   if (dispatched > 0) {
-    const util::MutexLock lock(dispatch_mu_);
-    for (DispatchTask& task : tasks) {
-      dispatch_.push_back(std::move(task));
+    {
+      const util::MutexLock lock(dispatch_mu_);
+      for (DispatchTask& task : tasks) {
+        dispatch_.push_back(std::move(task));
+      }
     }
     dispatch_cv_.SignalAll();
   }

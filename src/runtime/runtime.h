@@ -30,7 +30,10 @@
  * The planner blocks on its CondVar whenever it has nothing timed to
  * do; Submit and every completion signal it. The only *timed* waits
  * are the drop-deadline and retry-backoff timers, computed from the
- * tracker's queued list — there is no poll interval.
+ * tracker's queued list — there is no poll interval. Every hand-off
+ * (Submit, a worker's completion, a watchdog requeue, a dispatch)
+ * changes its state under the mutex and signals only after releasing
+ * it, so the woken thread never blocks at once on a held mutex.
  *
  * Failure model (DESIGN.md §14): every dispatched task is entered in
  * an in-flight registry keyed by its dispatch sequence number. A
@@ -346,12 +349,18 @@ class ServingRuntime {
     std::atomic<int> state{kWorkerRunning};
   };
 
+  /** The body of Submit (@p blocking) and TrySubmit. */
+  AdmitOutcome Enqueue(bool blocking, TenantId tenant,
+                       costmodel::Resolution resolution, int num_steps,
+                       TimeUs budget_us, RequestId* out_id);
   void PlannerLoop();
   void WorkerLoop(int worker);
   void WatchdogLoop();
   void WatchdogSweep();
   /** Requeue one registry-erased task through the planner mailbox. */
   void PostWatchdogRequeue(std::uint64_t seq, InflightRecord record);
+  /** Append @p msg to the mailbox, then wake the planner. */
+  void PostToPlanner(CompletionMsg msg);
 
   // Planner-thread-only helpers (no locks: all state they touch is
   // owned by the single planner thread).

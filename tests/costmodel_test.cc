@@ -10,6 +10,8 @@
 #include "util/stats.h"
 #include "costmodel/model_config.h"
 #include "costmodel/step_cost.h"
+#include "cluster/gpu_set.h"
+#include "util/rng.h"
 
 namespace tetri::costmodel {
 using tetri::RunningStat;
@@ -265,6 +267,73 @@ TEST_F(LatencyTableTest, CsvContainsEveryCell)
   const std::string csv = table_.ToCsv();
   for (Resolution res : kAllResolutions) {
     EXPECT_NE(csv.find(ResolutionName(res)), std::string::npos);
+  }
+}
+
+/** One cell profiled sample by sample through SampleStepTimeUs: the
+ * reference LatencyTable::Profile, which computes each cell's mean and
+ * CV once, must match bit for bit. */
+LatencyCell
+PerSampleCell(const StepCostModel& cost, Resolution res, int degree,
+              int batch, int samples, Rng& rng)
+{
+  RunningStat stat;
+  for (int s = 0; s < samples; ++s) {
+    stat.Add(cost.SampleStepTimeUs(res, degree, batch, rng));
+  }
+  return LatencyCell{stat.mean(), stat.Cv()};
+}
+
+/** Every cell of a default-sized profile, pow2 and (when @p extended)
+ * non-pow2, equals its per-sample rebuild bit for bit. */
+void
+ExpectProfileMatchesPerSample(const ModelConfig& model,
+                              const Topology& topo, bool extended)
+{
+  constexpr int kMaxBatch = 8;
+  constexpr int kSamples = 20;
+  constexpr std::uint64_t kSeed = 42;
+  const StepCostModel cost(&model, &topo);
+  const LatencyTable table =
+      LatencyTable::Profile(cost, kMaxBatch, kSamples, kSeed, extended);
+  auto expect_cell = [&](Resolution res, int degree, int batch,
+                         Rng& rng) {
+    const LatencyCell want =
+        PerSampleCell(cost, res, degree, batch, kSamples, rng);
+    EXPECT_EQ(table.StepTimeUs(res, degree, batch), want.mean_us)
+        << ResolutionName(res) << " k=" << degree << " b=" << batch;
+    EXPECT_EQ(table.StepCv(res, degree, batch), want.cv)
+        << ResolutionName(res) << " k=" << degree << " b=" << batch;
+  };
+  Rng rng(kSeed);
+  for (Resolution res : kAllResolutions) {
+    for (int degree : topo.FeasibleDegrees()) {
+      for (int batch = 1; batch <= kMaxBatch; ++batch) {
+        expect_cell(res, degree, batch, rng);
+      }
+    }
+  }
+  if (!extended) return;
+  Rng ext_rng(kSeed ^ 0x7e7269334e505332ULL);
+  for (Resolution res : kAllResolutions) {
+    for (int degree = 1; degree <= topo.num_gpus(); ++degree) {
+      if (cluster::IsPow2(degree)) continue;
+      for (int batch = 1; batch <= kMaxBatch; ++batch) {
+        expect_cell(res, degree, batch, ext_rng);
+      }
+    }
+  }
+}
+
+TEST(LatencyTableProfileTest, MatchesPerSampleProfileBitForBit)
+{
+  const ModelConfig flux = ModelConfig::FluxDev();
+  const ModelConfig sd3 = ModelConfig::Sd3Medium();
+  const Topology h100 = Topology::H100Node(8);
+  const Topology a40 = Topology::A40Node(4);
+  for (bool extended : {false, true}) {
+    ExpectProfileMatchesPerSample(flux, h100, extended);
+    ExpectProfileMatchesPerSample(sd3, a40, extended);
   }
 }
 

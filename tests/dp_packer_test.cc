@@ -98,6 +98,22 @@ TEST(PackRoundTest, UrgentBeatsRelaxedUnderContention)
   EXPECT_EQ(result.survivors, 2);
 }
 
+TEST(PackRoundTest, TieGoesToEarlierGroups)
+{
+  // Four equal groups, two GPUs: the first two keep them, in both data
+  // paths, also when a later group's work is larger by noise only.
+  const double w = 0.9;
+  std::vector<PackGroup> groups = {
+      MakeGroup(0, true, {{1, 1, true, w}}),
+      MakeGroup(1, true, {{1, 1, true, w}}),
+      MakeGroup(2, true, {{1, 1, true, w}}),
+      MakeGroup(3, true, {{1, 1, true, std::nextafter(w, 1.0)}}),
+  };
+  const std::vector<int> expected = {0, 0, -1, -1};
+  EXPECT_EQ(PackRound(groups, 2).choice, expected);
+  EXPECT_EQ(PackRoundReference(groups, 2).choice, expected);
+}
+
 TEST(PackComparatorTest, RelativeEpsilonTiesWork)
 {
   EXPECT_TRUE(WorkNearlyEqual(1.0, 1.0 + 1e-12));

@@ -388,6 +388,83 @@ TEST(LintRuleTest, ThreadDisciplineIgnoresCommentsAndNolint)
   EXPECT_EQ(CountRule(report, kUnusedNolintRule), 0);
 }
 
+TEST(LintRuleTest, SignalUnderLock)
+{
+  auto report = RunLint(
+      {Fixture("runtime/x.cc",
+               "void Bad() {\n"
+               "  const util::MutexLock lock(mu_);\n"
+               "  ready_ = true;\n"
+               "  cv_.Signal();\n"
+               "  other_->SignalAll();\n"
+               "}\n"
+               "void Good() {\n"
+               "  {\n"
+               "    const util::MutexLock lock(mu_);\n"
+               "    ready_ = true;\n"
+               "  }\n"
+               "  cv_.Signal();\n"
+               "  other_->SignalAll();\n"
+               "}\n")},
+      {"signal-under-lock"});
+  EXPECT_TRUE(Has(report, "signal-under-lock", "src/runtime/x.cc", 4));
+  EXPECT_TRUE(Has(report, "signal-under-lock", "src/runtime/x.cc", 5));
+  EXPECT_EQ(CountRule(report, "signal-under-lock"), 2);
+}
+
+TEST(LintRuleTest, SignalUnderLockTracksNestedScopes)
+{
+  auto report = RunLint(
+      {Fixture("runtime/x.cc",
+               "void Outer() {\n"
+               "  util::MutexLock lock(mu_);\n"
+               "  if (ready_) {\n"
+               "    for (;;) { cv_.Signal(); }\n"
+               "  }\n"
+               "}\n"
+               "void Inner(bool b) {\n"
+               "  if (b) {\n"
+               "    util::MutexLock lock{mu_};\n"
+               "    auto f = [&] { util::MutexLock l(other_); };\n"
+               "    f();\n"
+               "  }\n"
+               "  cv_.SignalAll();\n"
+               "}\n"
+               "void Helper(util::MutexLock& held) { cv_.Signal(); }\n"
+               "MutexLock(const MutexLock&) = delete;\n"
+               "void Later() { cv_.Signal(); }\n")},
+      {"signal-under-lock"});
+  // A signal in any block nested inside the lock's scope is flagged.
+  EXPECT_TRUE(Has(report, "signal-under-lock", "src/runtime/x.cc", 4));
+  // Once the block (and the lambda) holding the lock closes, the
+  // signal runs unlocked; a reference parameter or a declaration that
+  // names no variable opens no lock scope.
+  EXPECT_EQ(CountRule(report, "signal-under-lock"), 1);
+}
+
+TEST(LintRuleTest, SignalUnderLockNolintAndExemptions)
+{
+  // A site that must signal under some lock carries a NOLINT (with its
+  // reason in a comment); text in comments and literals is not code.
+  auto report = RunLint(
+      {Fixture("runtime/x.cc",
+               "void Drain() {\n"
+               "  util::MutexLock drain_lock(drain_mu_);\n"
+               "  cv_.Signal();  // NOLINT(tetri-signal-under-lock)\n"
+               "  // cv_.Signal() here would be a bug\n"
+               "  const char* s = \"cv_.SignalAll()\";\n"
+               "}\n")},
+      {"signal-under-lock"});
+  EXPECT_EQ(CountRule(report, "signal-under-lock"), 0);
+  EXPECT_EQ(CountRule(report, kUnusedNolintRule), 0);
+
+  // util/mutex.h defines MutexLock and Signal; it is not checked.
+  report = RunLint({Fixture("util/mutex.h",
+                            "void f() { MutexLock lock(mu); c.Signal(); }\n")},
+                   {"signal-under-lock"});
+  EXPECT_EQ(CountRule(report, "signal-under-lock"), 0);
+}
+
 // ---------------------------------------------------------------------
 // Suppressions
 // ---------------------------------------------------------------------

@@ -17,7 +17,6 @@
 #include "core/tetri_scheduler.h"
 #include "costmodel/model_config.h"
 #include "costmodel/step_cost.h"
-#include "runtime/admission_queue.h"
 #include "runtime/fair_queue.h"
 #include "runtime/runtime.h"
 #include "trace/trace.h"
@@ -40,29 +39,29 @@ MakeRequest(RequestId id, TimeUs arrival = 0, TimeUs deadline = 1000)
 }
 
 // ---------------------------------------------------------------------
-// AdmissionQueue
+// Admission queue: one tenant, so FairAdmissionQueue is a bounded FIFO
 // ---------------------------------------------------------------------
 
 TEST(RuntimeAdmissionQueueTest, PushDrainPreservesFifoOrder)
 {
-  AdmissionQueue queue(8, OverflowPolicy::kShed);
+  FairAdmissionQueue queue(8, OverflowPolicy::kShed);
   for (RequestId id = 0; id < 5; ++id) {
     EXPECT_EQ(queue.Push(MakeRequest(id)), AdmitOutcome::kAdmitted);
   }
   EXPECT_EQ(queue.size(), 5u);
   std::vector<workload::TraceRequest> out;
-  EXPECT_EQ(queue.TryDrain(&out), 5u);
+  EXPECT_EQ(queue.DrainFair(0, &out), 5u);
   ASSERT_EQ(out.size(), 5u);
   for (RequestId id = 0; id < 5; ++id) {
     EXPECT_EQ(out[static_cast<std::size_t>(id)].id, id);
   }
   EXPECT_EQ(queue.size(), 0u);
-  EXPECT_EQ(queue.TryDrain(&out), 0u);
+  EXPECT_EQ(queue.DrainFair(0, &out), 0u);
 }
 
 TEST(RuntimeAdmissionQueueTest, ShedPolicyRefusesWhenFull)
 {
-  AdmissionQueue queue(2, OverflowPolicy::kShed);
+  FairAdmissionQueue queue(2, OverflowPolicy::kShed);
   EXPECT_EQ(queue.Push(MakeRequest(0)), AdmitOutcome::kAdmitted);
   EXPECT_EQ(queue.Push(MakeRequest(1)), AdmitOutcome::kAdmitted);
   EXPECT_EQ(queue.Push(MakeRequest(2)), AdmitOutcome::kShed);
@@ -71,13 +70,13 @@ TEST(RuntimeAdmissionQueueTest, ShedPolicyRefusesWhenFull)
   EXPECT_EQ(counters.shed, 1u);
   // Draining frees the whole capacity again.
   std::vector<workload::TraceRequest> out;
-  queue.TryDrain(&out);
+  queue.DrainFair(0, &out);
   EXPECT_EQ(queue.Push(MakeRequest(3)), AdmitOutcome::kAdmitted);
 }
 
 TEST(RuntimeAdmissionQueueTest, BlockPolicyWaitsForDrain)
 {
-  AdmissionQueue queue(1, OverflowPolicy::kBlock);
+  FairAdmissionQueue queue(1, OverflowPolicy::kBlock);
   EXPECT_EQ(queue.Push(MakeRequest(0)), AdmitOutcome::kAdmitted);
 
   std::atomic<bool> pushed{false};
@@ -88,7 +87,7 @@ TEST(RuntimeAdmissionQueueTest, BlockPolicyWaitsForDrain)
   // The producer is blocked on a full queue until the consumer drains;
   // keep draining until both submissions came through.
   std::vector<workload::TraceRequest> out;
-  while (out.size() < 2) queue.TryDrain(&out);
+  while (out.size() < 2) queue.DrainFair(0, &out);
   producer.join();
   EXPECT_TRUE(pushed.load());
   ASSERT_EQ(out.size(), 2u);
@@ -98,7 +97,7 @@ TEST(RuntimeAdmissionQueueTest, BlockPolicyWaitsForDrain)
 
 TEST(RuntimeAdmissionQueueTest, CloseWakesBlockedProducerWithClosed)
 {
-  AdmissionQueue queue(1, OverflowPolicy::kBlock);
+  FairAdmissionQueue queue(1, OverflowPolicy::kBlock);
   EXPECT_EQ(queue.Push(MakeRequest(0)), AdmitOutcome::kAdmitted);
   std::thread producer([&] {
     EXPECT_EQ(queue.Push(MakeRequest(1)), AdmitOutcome::kClosed);
@@ -107,23 +106,12 @@ TEST(RuntimeAdmissionQueueTest, CloseWakesBlockedProducerWithClosed)
   producer.join();
   // Close refuses new work but never discards accepted work.
   std::vector<workload::TraceRequest> out;
-  EXPECT_EQ(queue.WaitDrain(&out), 1u);
+  EXPECT_EQ(queue.DrainFair(0, &out), 1u);
   EXPECT_EQ(out[0].id, 0);
-  // Closed and empty: WaitDrain returns 0 instead of blocking.
-  EXPECT_EQ(queue.WaitDrain(&out), 0u);
+  // Closed and empty: nothing left to drain.
+  EXPECT_EQ(queue.DrainFair(0, &out), 0u);
   EXPECT_EQ(queue.Push(MakeRequest(2)), AdmitOutcome::kClosed);
   EXPECT_EQ(queue.counters().rejected_closed, 2u);
-}
-
-TEST(RuntimeAdmissionQueueTest, WaitDrainBlocksUntilPush)
-{
-  AdmissionQueue queue(4, OverflowPolicy::kBlock);
-  std::vector<workload::TraceRequest> out;
-  std::thread consumer([&] { EXPECT_EQ(queue.WaitDrain(&out), 1u); });
-  EXPECT_EQ(queue.Push(MakeRequest(42)), AdmitOutcome::kAdmitted);
-  consumer.join();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].id, 42);
 }
 
 // ---------------------------------------------------------------------
@@ -421,7 +409,7 @@ TEST(RuntimeStressTest, CloseRacesBlockedProducersLosslessly)
   // few batches and then closes mid-stream. Lossless-close contract:
   // every Push returns kAdmitted or kClosed, and everything admitted
   // is drained — Close never discards accepted work.
-  AdmissionQueue queue(2, OverflowPolicy::kBlock);
+  FairAdmissionQueue queue(2, OverflowPolicy::kBlock);
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 16;
   std::atomic<int> admitted{0};
@@ -443,11 +431,13 @@ TEST(RuntimeStressTest, CloseRacesBlockedProducersLosslessly)
     });
   }
   std::vector<workload::TraceRequest> drained;
-  while (drained.size() < 20) queue.WaitDrain(&drained);
+  while (drained.size() < 20) {
+    if (queue.DrainFair(0, &drained) == 0) std::this_thread::yield();
+  }
   queue.Close();
   for (std::thread& producer : producers) producer.join();
   // Collect the tail the producers got in before Close won the race.
-  while (queue.WaitDrain(&drained) > 0) {
+  while (queue.DrainFair(0, &drained) > 0) {
   }
   EXPECT_EQ(admitted.load() + closed.load(), kProducers * kPerProducer);
   EXPECT_EQ(drained.size(),
@@ -465,7 +455,7 @@ TEST(RuntimeStressTest, ConcurrentTryPushShedsWithExactCounts)
   // one must shed, and the counters must account for each attempt
   // exactly even under contention.
   constexpr std::size_t kCapacity = 16;
-  AdmissionQueue queue(kCapacity, OverflowPolicy::kBlock);
+  FairAdmissionQueue queue(kCapacity, OverflowPolicy::kBlock);
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 8;
   std::atomic<int> admitted{0};
@@ -533,11 +523,13 @@ TEST(RuntimeStressTest, FairQueueCloseRacesBlockedAndTryPushProducers)
     }
   });
   std::vector<workload::TraceRequest> drained;
-  while (drained.size() < 8) queue.WaitDrainFair(0, &drained);
+  while (drained.size() < 8) {
+    if (queue.DrainFair(0, &drained) == 0) std::this_thread::yield();
+  }
   queue.Close();
   blocker.join();
   shedder.join();
-  while (queue.WaitDrainFair(0, &drained) > 0) {
+  while (queue.DrainFair(0, &drained) > 0) {
   }
   EXPECT_EQ(drained.size(),
             static_cast<std::size_t>(blocked_admitted.load() +

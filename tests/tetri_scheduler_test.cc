@@ -250,6 +250,25 @@ TEST_F(TetriSchedulerTest, DefinitelyLateGetsBestEffortSingleGpu)
   EXPECT_GE(cluster::Popcount(plan.assignments[0].mask), 1);
 }
 
+TEST_F(TetriSchedulerTest, EqualValuedRequestsRunInDeadlineOrder)
+{
+  // Six 2048px requests one step from done, 10 us apart, with budgets
+  // so ample that they share a laxity round: their Stage-2 values tie.
+  // The one free GPU goes to the earliest deadline, so later arrivals
+  // of the same kind cannot keep an older request waiting.
+  TetriScheduler sched(&table_);
+  for (RequestId id = 0; id < 6; ++id) {
+    Admit(id, Resolution::k2048, static_cast<TimeUs>(id) * 10,
+          /*slo_scale=*/1000.0, /*steps=*/1);
+  }
+  auto ctx = MakeContext(100, sched.RoundDurationUs(), /*free=*/0x01);
+  auto plan = sched.Plan(ctx);
+  ValidatePlan(plan, ctx);
+  ASSERT_EQ(plan.assignments.size(), 1u);
+  ASSERT_EQ(plan.assignments[0].requests.size(), 1u);
+  EXPECT_EQ(plan.assignments[0].requests[0], 0);
+}
+
 TEST_F(TetriSchedulerTest, NoGpusMeansEmptyPlan)
 {
   TetriScheduler sched(&table_);

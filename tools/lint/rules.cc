@@ -6,7 +6,8 @@
  *
  * Per-file exemptions are part of a rule's contract (documented in
  * DESIGN.md §11): util/check.h may use assert/abort (it implements
- * TETRI_CHECK), util/mutex.h may touch std::mutex (it wraps it),
+ * TETRI_CHECK), util/mutex.h may touch std::mutex and define
+ * MutexLock and Signal (it wraps them),
  * util/rounding.h may call llround (it IS the rounding rule), and
  * util/ + sim/ may read the wall clock (WallTimer and the event loop
  * live there).
@@ -618,6 +619,74 @@ CheckThreadDiscipline(const SourceFile& f, const Emit& emit)
   }
 }
 
+// ---------------------------------------------------------------------
+// signal-under-lock
+// ---------------------------------------------------------------------
+
+/** True if a scoped-lock variable is declared at @p i, just past the
+ * "MutexLock" token: `MutexLock lock(mu_)` or `MutexLock lock{mu_}`,
+ * not a reference, a constructor or the class itself. */
+bool
+DeclaresLockVariable(const std::string& code, std::size_t i)
+{
+  auto skip_space = [&] {
+    while (i < code.size() &&
+           std::isspace(static_cast<unsigned char>(code[i])) != 0) {
+      ++i;
+    }
+  };
+  skip_space();
+  const std::size_t name = i;
+  while (i < code.size() && IsIdentChar(code[i])) ++i;
+  if (i == name) return false;
+  skip_space();
+  return i < code.size() && (code[i] == '(' || code[i] == '{');
+}
+
+void
+CheckSignalUnderLock(const SourceFile& f, const Emit& emit)
+{
+  if (f.rel == "util/mutex.h") return;  // defines MutexLock and Signal
+  // One walk over the code view: `depth` counts open braces, and
+  // `locks` holds the depth of every MutexLock still in scope. A lock
+  // declared at depth d lives until the brace that takes the depth
+  // below d closes.
+  static const std::string kLock = "MutexLock";
+  std::vector<int> locks;
+  int depth = 0;
+  const std::string& code = f.code;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const char c = code[i];
+    if (c == '{') {
+      ++depth;
+    } else if (c == '}') {
+      --depth;
+      while (!locks.empty() && locks.back() > depth) locks.pop_back();
+    } else if (c == 'M' && (i == 0 || !IsIdentChar(code[i - 1])) &&
+               code.compare(i, kLock.size(), kLock) == 0 &&
+               (i + kLock.size() >= code.size() ||
+                !IsIdentChar(code[i + kLock.size()]))) {
+      if (DeclaresLockVariable(code, i + kLock.size())) {
+        locks.push_back(depth);
+      }
+      i += kLock.size() - 1;
+    } else if (c == 'S' && !locks.empty() && i > 0 &&
+               (code[i - 1] == '.' || code[i - 1] == '>')) {
+      for (const char* call : {"Signal()", "SignalAll()"}) {
+        if (code.compare(i, std::string(call).size(), call) == 0) {
+          emit(f.display, LineOf(code, i),
+               std::string("'") + call +
+                   "' while a util::MutexLock is in scope: the woken "
+                   "thread blocks at once on the held mutex; change "
+                   "the state under the lock, release it, then "
+                   "signal");
+          break;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void
@@ -678,6 +747,11 @@ RegisterDefaultRules(std::vector<Rule>* rules)
        "real-valued durations become TimeUs only through "
        "util::RoundUs — the one-rounding-rule helper",
        per_file(CheckRounding)});
+  rules->push_back(
+      {"signal-under-lock",
+       "CondVar Signal/SignalAll run after the util::MutexLock scope "
+       "closes, so the woken thread does not block on a held mutex",
+       per_file(CheckSignalUnderLock)});
   rules->push_back(
       {"thread-discipline",
        "raw std::thread, detach(), and sleep_for stay inside "
